@@ -1,7 +1,7 @@
-"""Benchmark of bdcomplex: end-to-end and per-layer metrics of three workloads.
+"""Benchmark of bdcomplex: end-to-end and per-layer metrics of two workloads.
 
-    python3 perfbench/run.py --workload compute --seed 1 --seconds 35 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 35
+    python3 perfbench/run.py --workload compute --seed 1 --seconds 50 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 50
 
 Run from the root of a checkout; the package is imported from its src/.
 This process starts the workload in a child process with a pinned
@@ -23,9 +23,9 @@ import sys
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-SETUP_REPEATS = 5
+SETUP_REPEATS = 7
 CHILD_TIMEOUT_S = 170
-WORKLOADS = ("compute", "verify-sweep", "batch-cli")
+WORKLOADS = ("compute", "sweep-batch")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "BLIS_NUM_THREADS")
 
@@ -101,7 +101,7 @@ def child_main(args) -> int:
     import numpy
 
     env = (f"python {sys.version.split()[0]}, numpy {numpy.__version__}, "
-           f"nproc {len(os.sched_getaffinity(0))}, jobs {workloads.jobs()}")
+           f"nproc {len(os.sched_getaffinity(0))}, timed at jobs 1, pooled at jobs {workloads.jobs()}")
     print(json.dumps({
         "attempted": run.attempted, "failed": run.failed, "errors": run.errors, "notes": run.notes,
         "env": env, "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
@@ -113,7 +113,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS + ("all",))
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=int, default=35)
+    parser.add_argument("--seconds", type=int, default=50)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--phase", choices=("setup", "run"), help=argparse.SUPPRESS)
     args = parser.parse_args()

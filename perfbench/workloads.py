@@ -29,7 +29,12 @@ BUILD_DIR = ".bench_build"
 
 
 def jobs() -> int:
-    """Pool size: two workers, never more than the CPUs this process may use."""
+    """Pool size of the pooled rounds: two workers, never more than the CPUs this process may use.
+
+    The timed rounds of the end-to-end metrics run at jobs=1 (see `measure`);
+    pooled rounds check that the pool gives the same output and, in the
+    traced run, give the pool speed-up.
+    """
     return min(2, len(os.sched_getaffinity(0)))
 
 
@@ -167,7 +172,7 @@ class InstanceWorkload:
 
 
 # ---------------------------------------------------------------------------
-# verify-sweep
+# sweep-batch: the sweeps
 # ---------------------------------------------------------------------------
 
 
@@ -241,22 +246,24 @@ def _count_forest_instances(max_edges: int, max_bound: int) -> int:
     return sum(count)
 
 
-CYCLE_NS = (3, 4, 5, 6)
+CYCLE_NS = (3, 4, 5)
 
 
 def sweep_plan(seed: int):
     """(name, function name, kwargs, instance counter) per sweep.
 
-    The counts are the benchmark's own, made from the sweep parameters:
-    caterpillars have 3 leaf counts and 4 bounds per spine vertex, cycles 4
-    bounds on n-1 vertices and 3 last bounds, matching caterpillars 4 leaf
-    counts per spine vertex and 3 values of k.
+    The four sweeps of the acceptance suite, the forest, caterpillar and
+    cycle sweeps one size smaller (see README.md), so that a run holds
+    several rounds.  The counts are the benchmark's own, made
+    from the sweep parameters: caterpillars have 2 leaf counts and 4 bounds
+    per spine vertex, cycles 4 bounds on n-1 vertices and 3 last bounds,
+    matching caterpillars 4 leaf counts per spine vertex and 3 values of k.
     """
     return [
-        ("forests", "sweep_forests", {"max_edges": 6, "max_bound": 3, "seed": seed},
-         lambda: _count_forest_instances(6, 3)),
-        ("caterpillars", "sweep_caterpillars", {"max_spine": 3, "max_leaves": 3, "max_bound": 3},
-         lambda: sum((3 * 4) ** n for n in range(1, 4))),
+        ("forests", "sweep_forests", {"max_edges": 5, "max_bound": 3, "seed": seed},
+         lambda: _count_forest_instances(5, 3)),
+        ("caterpillars", "sweep_caterpillars", {"max_spine": 3, "max_leaves": 2, "max_bound": 3},
+         lambda: sum((2 * 4) ** n for n in range(1, 4))),
         ("cycles", "sweep_cycles", {"ns": list(CYCLE_NS), "max_bound": 3, "last_bounds": (0, 2, 3)},
          lambda: sum(4 ** (n - 1) * 3 for n in CYCLE_NS)),
         ("matching", "sweep_matching_caterpillars", {"max_spine": 3, "max_leaves": 3, "k_values": (1, 2, 3)},
@@ -275,7 +282,7 @@ class SweepWorkload:
             t0 = time.perf_counter()
             with rec.op() if rec else contextlib.nullcontext():
                 report = getattr(harness, fn_name)(**kwargs, jobs=n_jobs)
-            if n_jobs > 1:
+            if n_jobs == 1:
                 self.times[name].append(time.perf_counter() - t0)
             out = report.to_json()
             run.attempted += report.instances
@@ -299,7 +306,7 @@ class SweepWorkload:
 
 
 # ---------------------------------------------------------------------------
-# batch-cli
+# sweep-batch: the batch command
 # ---------------------------------------------------------------------------
 
 
@@ -310,10 +317,15 @@ class BatchWorkload:
         with open(self.path, "w", encoding="utf-8") as fh:
             self.cases = inputs.write_batch(seed, fh)
         self.outputs: dict[str, str] = {}
+        self.times: list[float] = []  # subprocess rounds at jobs=1
 
     def subprocess_round(self, run: Run, n_jobs: int) -> None:
+        """One `bdcomplex batch` process over the whole file."""
         cmd = [sys.executable, "-m", "bdcomplex", "batch", self.path, "--jobs", str(n_jobs)]
+        t0 = time.perf_counter()
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=170)
+        if n_jobs == 1:
+            self.times.append(time.perf_counter() - t0)
         self._account(run, proc.stdout, f"subprocess --jobs {n_jobs}", proc.returncode)
 
     def inprocess_round(self, run: Run, rec=None) -> None:
@@ -334,8 +346,9 @@ class BatchWorkload:
         run.check(stdout == first, f"batch {how}: output differs from {next(iter(self.outputs))}")
 
     def check(self, run: Run):
-        one = self.outputs.get("subprocess --jobs 1")
-        run.check(one is not None, "batch: no --jobs 1 output to compare")
+        for n_jobs in (1, jobs()):
+            got = self.outputs.get(f"subprocess --jobs {n_jobs}")
+            run.check(got is not None, f"batch: no --jobs {n_jobs} output to compare")
         lines = next(iter(self.outputs.values())).splitlines()
         run.check(len(lines) == len(self.cases), f"batch: {len(lines)} output lines for {len(self.cases)} inputs")
         for case, line in zip(self.cases, lines):
@@ -344,6 +357,26 @@ class BatchWorkload:
             if "error" in result:
                 continue
             check_result(run, case, result)
+
+
+class SweepBatchWorkload:
+    """The four sweeps, then one `bdcomplex batch` process: one round."""
+
+    def __init__(self, seed: int):
+        self.sweeps = SweepWorkload(seed)
+        self.batch = BatchWorkload(seed)
+
+    def round(self, run: Run, n_jobs: int) -> None:
+        self.sweeps.round(run, n_jobs)
+        self.batch.subprocess_round(run, n_jobs)
+
+    def check(self, run: Run):
+        self.sweeps.check(run)
+        self.batch.check(run)
+
+    @property
+    def instances(self) -> int:
+        return self.sweeps.instances + len(self.batch.cases)
 
 
 # ---------------------------------------------------------------------------
@@ -406,18 +439,19 @@ def setup(name: str, seed: int):
     """Input generation: everything before the first timed operation."""
     if name == "compute":
         return InstanceWorkload(inputs.compute(seed))
-    if name == "verify-sweep":
-        return SweepWorkload(seed)
-    return BatchWorkload(seed)
+    return SweepBatchWorkload(seed)
 
 
 def measure(w, run: Run, seconds: float) -> dict[str, tuple[float, str]]:
     """Untraced timed rounds; the end-to-end metrics of this process.
 
-    Every operation (an instance, a sweep, a batch run) counts with its
-    fastest time over the rounds, and wall_s sums these over the
+    Every operation (an instance, a sweep, a batch process) counts with
+    its fastest time over the rounds, and wall_s sums these over the
     operations.  Load from elsewhere on the machine only ever adds time, so
     the fastest time is the estimate it touches least (see README.md).
+    The timed rounds keep one process busy (jobs=1): on a 2-CPU share two
+    busy processes made the times spread three times as much.  One pooled
+    round after them must give the same output.
     """
     if isinstance(w, InstanceWorkload):
         rounds(seconds, lambda: w.round(run))
@@ -428,18 +462,12 @@ def measure(w, run: Run, seconds: float) -> dict[str, tuple[float, str]]:
             "instance_p50_ms": (statistics.median(per_instance), "ms"),
             "instance_p90_ms": (percentile(per_instance, 90), "ms"),
         }
-    if isinstance(w, SweepWorkload):
-        rounds(seconds, lambda: w.round(run, jobs()))
-        w.check(run)
-        wall = sum(min(t) for t in w.times.values())
-        instances = w.instances
-    else:
-        wall = min(rounds(seconds, lambda: w.subprocess_round(run, jobs())))
-        w.subprocess_round(run, 1)  # the --jobs 1 output must be identical
-        w.check(run)
-        instances = len(w.cases)
-    # these workloads do not time instances one by one: report the mean
-    per_instance_ms = wall * 1000.0 / instances
+    rounds(seconds, lambda: w.round(run, 1))
+    w.round(run, jobs())  # the pooled reports and output must be identical
+    w.check(run)
+    wall = sum(min(t) for t in w.sweeps.times.values()) + min(w.batch.times)
+    # sweeps and batch lines are not timed one by one: report the mean
+    per_instance_ms = wall * 1000.0 / w.instances
     return {
         "wall_s": (wall, "s"),
         "instance_p50_ms": (per_instance_ms, "ms"),
@@ -450,15 +478,18 @@ def measure(w, run: Run, seconds: float) -> dict[str, tuple[float, str]]:
 def measure_traced(w, run: Run, seconds: float, span_file: str) -> dict[str, tuple[float, str]]:
     """Untraced and traced rounds in turn; the per-layer metrics.
 
-    The traced round runs in this process at jobs=1.  Its untraced twin gives
-    the tracing overhead; for the pooled workloads, untraced rounds at jobs=1
-    and at the usual job count give the pool speed-up.
+    The traced round runs in this process at jobs=1, the batch command
+    through `cli.main`.  Its untraced twin gives the tracing overhead; on
+    sweep-batch, untraced rounds at jobs=1 and at the pool size give the
+    pool speed-ups of the sweeps and of the batch process.
     """
     rec = spans.Recorder()
     plain: list[float] = []
     traced: list[float] = []
-    pooled: list[float] = []
-    serial: list[float] = []
+    sweep_pooled: list[float] = []
+    sweep_serial: list[float] = []
+    batch_pooled: list[float] = []
+    batch_serial: list[float] = []
 
     def timed(into, fn):
         t0 = time.perf_counter()
@@ -476,26 +507,30 @@ def measure_traced(w, run: Run, seconds: float, span_file: str) -> dict[str, tup
         def cycle():
             timed(plain, lambda: w.round(run))
             traced_round(lambda: w.round(run, rec))
-    elif isinstance(w, SweepWorkload):
-        def cycle():
-            timed(pooled, lambda: w.round(run, jobs()))
-            timed(plain, lambda: w.round(run, 1))
-            traced_round(lambda: w.round(run, 1, rec))
     else:
+        def in_process(rec=None):
+            w.sweeps.round(run, 1, rec)
+            w.batch.inprocess_round(run, rec)
+
         def cycle():
-            timed(pooled, lambda: w.subprocess_round(run, jobs()))
-            timed(serial, lambda: w.subprocess_round(run, 1))
-            timed(plain, lambda: w.inprocess_round(run))
-            traced_round(lambda: w.inprocess_round(run, rec))
+            timed(sweep_pooled, lambda: w.sweeps.round(run, jobs()))
+            timed(sweep_serial, lambda: w.sweeps.round(run, 1))
+            timed(batch_pooled, lambda: w.batch.subprocess_round(run, jobs()))
+            timed(batch_serial, lambda: w.batch.subprocess_round(run, 1))
+            timed(plain, in_process)
+            traced_round(lambda: in_process(rec))
 
     rounds(seconds, cycle)
     w.check(run)
     os.makedirs(os.path.dirname(span_file), exist_ok=True)
     rec.write(span_file)
     metrics = layer_metrics(rec, len(traced))
-    sweep = isinstance(w, SweepWorkload)
-    metrics["harness.pool_speedup"] = (statistics.median(plain) / statistics.median(pooled) if sweep else 0.0, "ratio")
-    metrics["cli.batch.pool_speedup"] = (statistics.median(serial) / statistics.median(pooled) if serial else 0.0, "ratio")
+
+    def speedup(serial, pooled):
+        return statistics.median(serial) / statistics.median(pooled) if pooled else 0.0
+
+    metrics["harness.pool_speedup"] = (speedup(sweep_serial, sweep_pooled), "ratio")
+    metrics["cli.batch.pool_speedup"] = (speedup(batch_serial, batch_pooled), "ratio")
     metrics["trace.overhead"] = (statistics.median(traced) / statistics.median(plain) - 1.0, "ratio")
     run.notes.append(f"{len(traced)} traced round(s); spans written to {span_file}")
     return metrics

@@ -51,7 +51,6 @@ from .recursion import (
     counts_shift,
     decrement_bounds,
     join_convolve,
-    pick_recursion_edge,
     simplify,
     sphere_counts,
 )

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from multiprocessing import Pool
 from typing import Optional
 
 from .complexes import DEFAULT_FACE_CAP
 from .errors import BoundedDegreeError, InvalidParamsError, ParseError
-from .graph import CanonicalKey, CaterpillarSpec, gen_cycle, gen_path
+from .graph import CaterpillarSpec, gen_cycle, gen_path
 from .harness import (
     ComputeResult,
     Instance,
@@ -32,64 +31,6 @@ from .harness import (
 )
 from .homology import HomologyProfile
 from .recursion import SphereCounts
-
-CACHE_ENV = "BDCOMPLEX_CACHE"
-CACHE_HEADER = "bdcomplex-cache v1"
-
-
-# ---------------------------------------------------------------------------
-# persistent memo cache
-# ---------------------------------------------------------------------------
-
-
-def load_cache(path: str) -> dict[CanonicalKey, SphereCounts]:
-    """Load a cache file; anything corrupt is skipped with a warning."""
-    cache: dict[CanonicalKey, SphereCounts] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if header != CACHE_HEADER:
-                print(f"warning: ignoring cache {path}: bad header", file=sys.stderr)
-                return {}
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    hexkey, payload = line.split("\t", 1)
-                    counts = {int(d): int(c) for d, c in json.loads(payload).items()}
-                    cache[bytes.fromhex(hexkey)] = counts
-                except (ValueError, json.JSONDecodeError):
-                    print(
-                        f"warning: ignoring corrupt cache record at {path}:{lineno}",
-                        file=sys.stderr,
-                    )
-    except FileNotFoundError:
-        pass
-    except OSError as exc:
-        print(f"warning: ignoring cache {path}: {exc}", file=sys.stderr)
-    return cache
-
-
-def append_cache(path: str, cache: dict[CanonicalKey, SphereCounts], known: set[CanonicalKey]):
-    """Append records for keys not yet in the file."""
-    fresh = [k for k in cache if k not in known]
-    if not fresh:
-        return
-    try:
-        new_file = not os.path.exists(path)
-        with open(path, "a", encoding="utf-8") as fh:
-            if new_file:
-                fh.write(CACHE_HEADER + "\n")
-            for key in fresh:
-                payload = json.dumps(
-                    {str(d): c for d, c in sorted(cache[key].items())},
-                    separators=(",", ":"),
-                )
-                fh.write(f"{key.hex()}\t{payload}\n")
-    except OSError as exc:
-        print(f"warning: could not update cache {path}: {exc}", file=sys.stderr)
-
 
 # ---------------------------------------------------------------------------
 # JSON rendering
@@ -164,52 +105,63 @@ def _parse_json_instance(text: str) -> Instance:
 
 
 def cmd_compute(args) -> int:
-    cache_path = os.environ.get(CACHE_ENV)
-    cache = load_cache(cache_path) if cache_path else {}
-    known = set(cache)
     try:
         instance = _parse_json_instance(_read_instance_text(args.instance))
-        res = compute_instance(instance, args.method, args.face_cap, cache=cache)
+        res = compute_instance(instance, args.method, args.face_cap)
     except BoundedDegreeError as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.output)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(result_json(instance, res, args.timings), args.output)
-    if cache_path:
-        append_cache(cache_path, cache, known)
     return 0
 
 
 _worker_state: dict = {}
 
 
-def _batch_init(method: str, face_cap: int, cache: dict):
+def _batch_init(method: str, face_cap: int):
     _worker_state["method"] = method
     _worker_state["face_cap"] = face_cap
-    _worker_state["cache"] = dict(cache)
 
 
 def _batch_line(task: tuple[int, str]) -> dict:
+    """Result object for one input line, or an error object naming the line.
+
+    Any exception becomes an error object, so one bad line (malformed input,
+    an exhausted face cap, even a RecursionError or MemoryError) never costs
+    the other lines their output.
+    """
     lineno, line = task
     try:
         instance = _parse_json_instance(line)
-        res = compute_instance(
-            instance,
-            _worker_state["method"],
-            _worker_state["face_cap"],
-            cache=_worker_state["cache"],
-        )
+        res = compute_instance(instance, _worker_state["method"], _worker_state["face_cap"])
         return result_json(instance, res, False)
-    except BoundedDegreeError as exc:
+    except Exception as exc:  # noqa: BLE001 - one line's fault must not stop the batch
+        if not isinstance(exc, BoundedDegreeError):
+            import traceback  # only on this path: keeps it out of start-up
+
+            traceback.print_exc(file=sys.stderr)
         return {
             "error": {"type": type(exc).__name__, "message": str(exc)},
             "line": lineno,
         }
 
 
+def _batch_results(tasks: list[tuple[int, str]], args):
+    """Each line's object in input order, yielded as soon as it is ready."""
+    _batch_init(args.method, args.face_cap)
+    if args.jobs > 1 and len(tasks) > 1:
+        with Pool(
+            processes=args.jobs,
+            initializer=_batch_init,
+            initargs=(args.method, args.face_cap),
+        ) as pool:
+            yield from pool.imap(_batch_line, tasks, chunksize=1)
+    else:
+        yield from map(_batch_line, tasks)
+
+
 def cmd_batch(args) -> int:
-    cache_path = os.environ.get(CACHE_ENV)
-    cache = load_cache(cache_path) if cache_path else {}
     if args.file == "-":
         raw_lines = sys.stdin.read().splitlines()
     else:
@@ -218,18 +170,8 @@ def cmd_batch(args) -> int:
     tasks = [
         (i, line) for i, line in enumerate(raw_lines, start=1) if line.strip()
     ]
-    _batch_init(args.method, args.face_cap, cache)
-    if args.jobs > 1 and len(tasks) > 1:
-        with Pool(
-            processes=args.jobs,
-            initializer=_batch_init,
-            initargs=(args.method, args.face_cap, cache),
-        ) as pool:
-            results = list(pool.imap(_batch_line, tasks, chunksize=1))
-    else:
-        results = [_batch_line(t) for t in tasks]
     failed = False
-    for obj in results:
+    for obj in _batch_results(tasks, args):
         failed = failed or "error" in obj
         _emit(obj, args.output)
     return 1 if failed else 0

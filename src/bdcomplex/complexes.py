@@ -148,28 +148,31 @@ def build_complex(
     budgets = list(bounds)
     faces: list[Face] = []
     stack: list[int] = []
-    count = 0
-
-    def extend(start: int):
-        nonlocal count
-        for i in range(start, m):
+    i = 0
+    # depth-first over index-ordered subsets, without recursion: take edge i
+    # when both budgets allow, and at the end of the edges drop the last one
+    # taken and go on after it
+    while True:
+        if i < m:
             u, v = edges[i]
             if budgets[u] > 0 and budgets[v] > 0:
                 budgets[u] -= 1
                 budgets[v] -= 1
                 stack.append(i)
-                count += 1
-                if count > face_cap:
+                if len(faces) == face_cap:
                     raise FaceCapExceededError(
                         f"more than {face_cap} faces in bounded degree complex"
                     )
                 faces.append(tuple(stack))
-                extend(i + 1)
-                stack.pop()
-                budgets[u] += 1
-                budgets[v] += 1
-
-    extend(0)
+            i += 1
+            continue
+        if not stack:
+            break
+        i = stack.pop()
+        u, v = edges[i]
+        budgets[u] += 1
+        budgets[v] += 1
+        i += 1
     return SimplicialComplex(m, faces, _validated=True)
 
 

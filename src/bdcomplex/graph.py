@@ -233,36 +233,35 @@ def canonical_code(graph: Graph, bounds: Sequence[int]) -> CanonicalKey:
     if not is_forest(graph):
         raise NotAForestError("canonical codes are defined for forests only")
     adj = graph.adjacency()
-
-    def subtree_code(root: int, parent: int) -> bytes:
-        kids = sorted(
-            subtree_code(c, root) for c in adj[root] if c != parent
-        )
-        return b"(%d:" % bounds[root] + b"".join(kids) + b")"
+    deg = [len(a) for a in adj]
 
     def tree_code(vertices: list[int]) -> bytes:
-        if len(vertices) == 1:
-            return subtree_code(vertices[0], -1)
-        # peel leaves layer by layer until one or two center vertices remain
-        vset = set(vertices)
-        deg = {v: sum(1 for w in adj[v] if w in vset) for v in vertices}
-        remaining = set(vertices)
+        # Peel leaves layer by layer; the last layer holds the one or two
+        # centers.  A peeled vertex's one unpeeled neighbor is its parent, so
+        # codes are built bottom-up in peeling order, without recursion.
+        kids: dict[int, list[bytes]] = {}
+
+        def code(v: int) -> bytes:
+            return b"(%d:" % bounds[v] + b"".join(sorted(kids.pop(v, ()))) + b")"
+
         layer = [v for v in vertices if deg[v] <= 1]
-        while len(remaining) > 2:
+        remaining = len(vertices)
+        while remaining > 2:
             nxt = []
             for v in layer:
-                remaining.discard(v)
+                remaining -= 1
+                deg[v] = 0
+                done = code(v)
                 for w in adj[v]:
-                    if w in remaining:
+                    if deg[w]:
+                        kids.setdefault(w, []).append(done)
                         deg[w] -= 1
                         if deg[w] == 1:
                             nxt.append(w)
             layer = nxt
-        centers = sorted(remaining)
-        if len(centers) == 1:
-            return subtree_code(centers[0], -1)
-        c1, c2 = centers
-        halves = sorted([subtree_code(c1, c2), subtree_code(c2, c1)])
+        if len(layer) == 1:
+            return code(layer[0])
+        halves = sorted(code(c) for c in layer)
         return b"=" + halves[0] + halves[1]
 
     trees = []

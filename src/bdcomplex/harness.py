@@ -149,7 +149,6 @@ def compute_instance(
     instance: Instance,
     method: str = "auto",
     face_cap: int = DEFAULT_FACE_CAP,
-    cache=None,
 ) -> ComputeResult:
     """Dispatch an instance to the requested computation method.
 
@@ -176,7 +175,7 @@ def compute_instance(
     if method == "recursion":
         if not is_forest(instance.graph):
             raise MethodMismatchError("recursion applies to forests only")
-        return done("recursion", sphere_counts(instance.graph, instance.bounds, cache=cache))
+        return done("recursion", sphere_counts(instance.graph, instance.bounds))
     if method == "homology":
         k = build_complex(instance.graph, instance.bounds, face_cap)
         profile = reduced_homology(k)
@@ -186,14 +185,14 @@ def compute_instance(
     if instance.cat_spec is not None and all(m >= 1 for m in instance.cat_spec.m):
         return done("closed-form", caterpillar_closed_form(instance.cat_spec))
     if is_forest(instance.graph):
-        return done("recursion", sphere_counts(instance.graph, instance.bounds, cache=cache))
+        return done("recursion", sphere_counts(instance.graph, instance.bounds))
     order = _cycle_order(instance.graph)
     if order is not None:
         bounds = tuple(instance.bounds[v] for v in order)
         reduced = cycle_reduce(len(order), bounds)
         if reduced is not None:
             path, path_bounds = reduced
-            return done("cycle-reduce", sphere_counts(path, path_bounds, cache=cache))
+            return done("cycle-reduce", sphere_counts(path, path_bounds))
     k = build_complex(instance.graph, instance.bounds, face_cap)
     profile = reduced_homology(k)
     return done("homology", wedge_profile(profile), profile)
@@ -363,10 +362,9 @@ def sweep_forests(
     oracles = _run_oracles(reps, jobs, face_cap)
     report.classes = len(reps)
 
-    cache: dict = {}
     for fi, bounds, key in instances:
         forest = forests[fi]
-        counts = sphere_counts(forest, bounds, cache=cache)
+        counts = sphere_counts(forest, bounds)
         _check_instance(report, forest, bounds, counts, oracles[class_of[key]])
 
     def check_raw(forest: Graph, raw: DegreeBounds):
@@ -374,7 +372,7 @@ def sweep_forests(
         report.raw_checked += 1
         if build_complex(forest, raw, face_cap) != build_complex(forest, clamped, face_cap):
             report.errors.append(_record(forest, raw, {"reason": "clamping changed the complex"}))
-        if sphere_counts(forest, raw, cache=cache) != sphere_counts(forest, clamped, cache=cache):
+        if sphere_counts(forest, raw) != sphere_counts(forest, clamped):
             report.errors.append(_record(forest, raw, {"reason": "clamping changed the recursion"}))
 
     rng = random.Random(seed)
@@ -425,9 +423,8 @@ def sweep_caterpillars(
     oracles = _run_oracles(reps, jobs, face_cap)
     report.classes = len(reps)
 
-    cache: dict = {}
     for spec, graph, bounds, key in instances:
-        counts = sphere_counts(graph, bounds, cache=cache)
+        counts = sphere_counts(graph, bounds)
         extra = {}
         if all(m >= 1 for m in spec.m):
             extra["closed_form"] = caterpillar_closed_form(spec)
@@ -625,9 +622,8 @@ def sweep_random_forests(
             reps.append((graph, bounds))
     oracles = _run_oracles(reps, jobs, face_cap)
     report.classes = len(reps)
-    cache: dict = {}
     for (graph, bounds), key in zip(picked, keys):
-        counts = sphere_counts(graph, bounds, cache=cache)
+        counts = sphere_counts(graph, bounds)
         _check_instance(report, graph, bounds, counts, oracles[class_of[key]])
     report.elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return report

@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 faces come from raw subset enumeration, ranks from Fraction elimination,
-Smith forms from a dense textbook reduction, and isomorphism from explicit
-bijection search.
+Smith forms from a dense textbook reduction, isomorphism from explicit
+bijection search, sphere counts from the edge-by-edge recursion on whole
+forests, canonical codes from the recursive center-rooted encoding, and
+Euler characteristics from a signed count of faces.
 """
 
 from __future__ import annotations
@@ -12,7 +14,15 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from bdcomplex.graph import Graph
+from bdcomplex.errors import NotAForestError
+from bdcomplex.graph import Graph, canonical_code, components, is_forest, validate_bounds
+from bdcomplex.recursion import (
+    counts_add,
+    counts_shift,
+    decrement_bounds,
+    join_convolve,
+    simplify,
+)
 
 
 def brute_force_faces(graph: Graph, bounds) -> set[tuple[int, ...]]:
@@ -169,3 +179,160 @@ def naive_snf(dense) -> tuple[int, tuple[int, ...]]:
                     changed = True
     factors.sort()
     return len(factors), tuple(factors)
+
+
+def pick_recursion_edge(graph: Graph):
+    """Smallest-index edge with a leaf neighbor off the edge, or None.
+
+    The edge {v,w} qualifies when some leaf u outside {v,w} is adjacent to v
+    or to w.  On a simplified forest this is exactly the condition that makes
+    removing the edge a valid recursion step; None means every component is a
+    single edge (or there are no edges), i.e. a base case.
+    """
+    deg = graph.degrees()
+    adj = graph.adjacency()
+    for i, (v, w) in enumerate(graph.edges):
+        for x in (v, w):
+            if any(deg[u] == 1 and u != v and u != w for u in adj[x]):
+                return i
+    return None
+
+
+def reference_sphere_counts(graph: Graph, bounds, *, cache=None, edge_picker=None):
+    """Sphere counts by the paper's recursion applied to whole forests.
+
+    Each step simplifies, splits into components, and removes one edge with
+    a leaf neighbor off the edge: counts(G) = counts(G - e) + shifted
+    counts(G - e, both endpoint bounds lowered).  Results are memoized by
+    canonical forest code in `cache` (a fresh dict when None); any mapping
+    with `get` and item assignment works.  `edge_picker` overrides the edge
+    choice, which must not change the result.
+    """
+    bounds = validate_bounds(graph, bounds)
+    if not is_forest(graph):
+        raise NotAForestError("sphere counts require a forest")
+    memo = {} if cache is None else cache
+    return dict(_reference_counts(graph, bounds, memo, edge_picker or pick_recursion_edge))
+
+
+def _reference_counts(graph, bounds, cache, pick):
+    graph, bounds = simplify(graph, bounds)
+    if graph.num_edges == 0:
+        return {-1: 1}
+    key = canonical_code(graph, bounds)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    parts = components(graph, bounds)
+    if len(parts) > 1:
+        result = {-1: 1}
+        for part in parts:
+            result = join_convolve(result, _reference_counts(part.graph, part.bounds, cache, pick))
+    elif graph.num_edges == 1:
+        # a lone edge with both bounds >= 1: a cone, hence contractible
+        result = {}
+    else:
+        e = pick(graph)
+        if e is None:
+            raise RuntimeError("no recursion edge on a component with >= 2 edges")
+        endpoints = graph.edges[e]
+        rest = graph.remove_edge(e)
+        kept = _reference_counts(rest, bounds, cache, pick)
+        used = _reference_counts(rest, decrement_bounds(bounds, endpoints), cache, pick)
+        result = counts_add(kept, counts_shift(used, 1))
+    cache[key] = result
+    return result
+
+
+def reference_canonical_code(graph: Graph, bounds) -> bytes:
+    """Canonical forest code, recursing once per tree level.
+
+    The encoding `canonical_code` must reproduce byte for byte: each tree is
+    rooted at its center, a vertex's code is "(bound:" + its sorted children's
+    codes + ")", a bicentral tree is "=" + its two sorted halves, and trees
+    are sorted and joined with "|".
+    """
+    bounds = validate_bounds(graph, bounds)
+    adj = graph.adjacency()
+
+    def subtree_code(root: int, parent: int) -> bytes:
+        kids = sorted(subtree_code(c, root) for c in adj[root] if c != parent)
+        return b"(%d:" % bounds[root] + b"".join(kids) + b")"
+
+    def tree_code(vertices: list[int]) -> bytes:
+        if len(vertices) == 1:
+            return subtree_code(vertices[0], -1)
+        vset = set(vertices)
+        deg = {v: sum(1 for w in adj[v] if w in vset) for v in vertices}
+        remaining = set(vertices)
+        layer = [v for v in vertices if deg[v] <= 1]
+        while len(remaining) > 2:
+            nxt = []
+            for v in layer:
+                remaining.discard(v)
+                for w in adj[v]:
+                    if w in remaining:
+                        deg[w] -= 1
+                        if deg[w] == 1:
+                            nxt.append(w)
+            layer = nxt
+        centers = sorted(remaining)
+        if len(centers) == 1:
+            return subtree_code(centers[0], -1)
+        c1, c2 = centers
+        halves = sorted([subtree_code(c1, c2), subtree_code(c2, c1)])
+        return b"=" + halves[0] + halves[1]
+
+    trees = []
+    seen = [False] * graph.num_vertices
+    for start in range(graph.num_vertices):
+        if seen[start]:
+            continue
+        stack, verts = [start], []
+        seen[start] = True
+        while stack:
+            v = stack.pop()
+            verts.append(v)
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        trees.append(tree_code(verts))
+    trees.sort()
+    return b"|".join(trees)
+
+
+def reference_reduced_euler(graph: Graph, bounds) -> int:
+    """Reduced Euler characteristic of the complex, by a tree DP over faces.
+
+    The complex's faces are the edge sets F meeting every bound, and its
+    reduced Euler characteristic is -sum_F (-1)^|F|.  Per vertex v, table[t]
+    is that signed sum over the edge sets below v that use t edges at v.
+    Iterative, so it handles deep trees; it never builds the complex.
+    """
+    bounds = validate_bounds(graph, bounds)
+    adj = graph.adjacency()
+    parent = [-1] * graph.num_vertices
+    seen = [False] * graph.num_vertices
+    total = 1
+    for root in range(graph.num_vertices):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order = [root]
+        for v in order:
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = v
+                    order.append(w)
+        table = {v: [1] + [0] * min(bounds[v], len(adj[v])) for v in order}
+        for c in reversed(order[1:]):
+            below = table.pop(c)
+            free, usable = sum(below), sum(below[:-1])
+            t_v = table[parent[c]]
+            table[parent[c]] = [
+                t_v[t] * free - (t_v[t - 1] * usable if t else 0) for t in range(len(t_v))
+            ]
+        total *= sum(table[root])
+    return -total

@@ -1,7 +1,8 @@
 import io
 import json
 
-from bdcomplex.cli import CACHE_HEADER, main
+from bdcomplex import cli
+from bdcomplex.cli import main
 
 
 def run(capsys, argv):
@@ -73,6 +74,15 @@ class TestCompute:
         assert code == 0
         obj = json.loads(out)
         assert obj["contractible"] is True and obj["spheres"] == {}
+
+    def test_deep_path(self, capsys, tmp_path):
+        n = 1500
+        instance = {"n": n, "edges": [[i, i + 1] for i in range(n - 1)], "lambda": [1] * n}
+        code, out, _ = run(capsys, ["compute", write_instance(tmp_path, instance)])
+        assert code == 0
+        obj = json.loads(out)
+        # the matching complex of P_1500 is Ind(P_1499), a 499-sphere
+        assert obj["method"] == "recursion" and obj["spheres"] == {"499": 1}
 
     def test_recursion_on_cycle_fails(self, capsys, tmp_path):
         path = write_instance(tmp_path, {"cycle": {"n": 4, "lambda": [1, 1, 1, 1]}})
@@ -202,6 +212,26 @@ class TestBatch:
         assert "error" in objs[1] and objs[1]["line"] == 2
         assert objs[0]["method"] == "recursion" and objs[2]["method"] == "cycle-reduce"
 
+    def test_any_failure_is_an_error_object(self, capsys, tmp_path, monkeypatch):
+        real = cli.compute_instance
+
+        def flaky(instance, *args):
+            if "caterpillar" in instance.source:
+                raise RecursionError("maximum recursion depth exceeded")
+            return real(instance, *args)
+
+        monkeypatch.setattr(cli, "compute_instance", flaky)
+        path = tmp_path / "batch.jsonl"
+        path.write_text("\n".join(self.lines()) + "\n")
+        code, out, _ = run(capsys, ["batch", str(path), "--jobs", "1"])
+        assert code == 1
+        objs = [json.loads(line) for line in out.splitlines()]
+        assert objs[1] == {
+            "error": {"type": "RecursionError", "message": "maximum recursion depth exceeded"},
+            "line": 2,
+        }
+        assert objs[0]["method"] == "recursion" and objs[2]["method"] == "cycle-reduce"
+
     def test_empty_file(self, capsys, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
@@ -260,32 +290,3 @@ class TestVerifyCommand:
         )
         assert code == 0 and "ok: True" in out
 
-
-class TestCache:
-    def test_cache_round_trip(self, capsys, tmp_path, monkeypatch):
-        cache_path = tmp_path / "memo.cache"
-        monkeypatch.setenv("BDCOMPLEX_CACHE", str(cache_path))
-        instance = write_instance(tmp_path, TWO_SPINE)
-        _, out1, _ = run(capsys, ["compute", instance, "--method", "recursion"])
-        assert cache_path.exists()
-        content = cache_path.read_text().splitlines()
-        assert content[0] == CACHE_HEADER and len(content) > 1
-        _, out2, _ = run(capsys, ["compute", instance, "--method", "recursion"])
-        assert out1 == out2
-        # a second run must not duplicate records
-        assert cache_path.read_text().splitlines() == content
-
-    def test_corrupt_record_skipped(self, capsys, tmp_path, monkeypatch):
-        cache_path = tmp_path / "memo.cache"
-        cache_path.write_text(CACHE_HEADER + "\nnot-hex\tjunk\n")
-        monkeypatch.setenv("BDCOMPLEX_CACHE", str(cache_path))
-        code, out, err = run(capsys, ["compute", write_instance(tmp_path, TWO_SPINE)])
-        assert code == 0 and json.loads(out)["spheres"] == {"1": 1}
-        assert "corrupt" in err
-
-    def test_bad_header_ignored(self, capsys, tmp_path, monkeypatch):
-        cache_path = tmp_path / "memo.cache"
-        cache_path.write_text("something else\n")
-        monkeypatch.setenv("BDCOMPLEX_CACHE", str(cache_path))
-        code, out, err = run(capsys, ["compute", write_instance(tmp_path, TWO_SPINE)])
-        assert code == 0 and "bad header" in err

@@ -27,7 +27,7 @@ from bdcomplex.graph import (
     random_tree,
 )
 
-from oracles import brute_force_isomorphic
+from oracles import brute_force_isomorphic, reference_canonical_code
 
 
 class TestMakeGraph:
@@ -232,6 +232,26 @@ class TestCanonicalCode:
             b2 = tuple(rng.randint(0, 2) for _ in range(6))
             same_code = canonical_code(g1, b1) == canonical_code(g2, b2)
             assert same_code == brute_force_isomorphic(g1, b1, g2, b2)
+
+    def test_matches_recursive_reference(self):
+        count = 0
+        for forest in nonisomorphic_forests(6):
+            grid = [range(min(2, d) + 1) for d in forest.degrees()]
+            for b in itertools.product(*grid):
+                assert canonical_code(forest, b) == reference_canonical_code(forest, b)
+                count += 1
+        assert count == 44377
+
+    def test_matches_reference_on_random_trees(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            g = random_tree(rng, rng.randint(1, 60))
+            b = tuple(rng.randint(0, 3) for _ in range(g.num_vertices))
+            assert canonical_code(g, b) == reference_canonical_code(g, b)
+
+    def test_deep_path_does_not_recurse(self):
+        code = canonical_code(gen_path(5000), (1,) * 5000)
+        assert code.startswith(b"=") and code.count(b"(") == 5000
 
 
 class TestEnumeration:

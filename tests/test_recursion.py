@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdcomplex.complexes import build_complex, reduced_euler
 from bdcomplex.errors import NotAForestError, WouldGoNegativeError
@@ -15,16 +17,18 @@ from bdcomplex.graph import (
     nonisomorphic_forests,
     random_forest,
 )
+from bdcomplex.harness import clamped_bound_grid
 from bdcomplex.homology import reduced_homology, wedge_profile
 from bdcomplex.recursion import (
     counts_add,
     counts_shift,
     decrement_bounds,
     join_convolve,
-    pick_recursion_edge,
     simplify,
     sphere_counts,
 )
+
+from oracles import pick_recursion_edge, reference_reduced_euler, reference_sphere_counts
 
 
 class NoopCache:
@@ -171,9 +175,9 @@ class TestSphereCounts:
             b = tuple(rng.randint(0, 3) for _ in range(g.num_vertices))
             shared: dict = {}
             assert (
-                sphere_counts(g, b, cache=shared)
-                == sphere_counts(g, b, cache=NoopCache())
-                == sphere_counts(g, b)
+                reference_sphere_counts(g, b, cache=shared)
+                == reference_sphere_counts(g, b, cache=NoopCache())
+                == reference_sphere_counts(g, b)
             )
 
     def test_edge_choice_independence(self):
@@ -192,9 +196,26 @@ class TestSphereCounts:
                 valid = valid_recursion_edges(graph)
                 return seeded.choice(valid) if valid else None
 
-            reference = sphere_counts(g, b, cache=NoopCache())
-            assert sphere_counts(g, b, cache=NoopCache(), edge_picker=biggest) == reference
-            assert sphere_counts(g, b, cache=NoopCache(), edge_picker=chancy) == reference
+            reference = reference_sphere_counts(g, b, cache=NoopCache())
+            assert reference_sphere_counts(g, b, cache=NoopCache(), edge_picker=biggest) == reference
+            assert reference_sphere_counts(g, b, cache=NoopCache(), edge_picker=chancy) == reference
+
+    def test_matches_reference_on_small_forests(self):
+        count = 0
+        for forest in nonisomorphic_forests(5):
+            for b in clamped_bound_grid(forest, 3):
+                assert sphere_counts(forest, b) == reference_sphere_counts(forest, b), (forest, b)
+                count += 1
+        assert count == 8165
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_matches_reference_on_random_trees(self, data):
+        n = data.draw(st.integers(1, 12))
+        parents = [data.draw(st.integers(0, i - 1)) for i in range(1, n)]
+        g = Graph(n, tuple((p, i) for i, p in enumerate(parents, start=1)))
+        b = tuple(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+        assert sphere_counts(g, b) == reference_sphere_counts(g, b)
 
     def test_union_counts_convolve(self):
         rng = random.Random(31)
@@ -209,13 +230,51 @@ class TestSphereCounts:
             )
 
     def test_matches_homology_on_small_forests(self):
-        cache: dict = {}
         for forest in nonisomorphic_forests(4, include_empty=False):
             for b in itertools.product(range(3), repeat=forest.num_vertices):
-                counts = sphere_counts(forest, b, cache=cache)
+                counts = sphere_counts(forest, b)
                 k = build_complex(forest, b)
                 assert counts == wedge_profile(reduced_homology(k))
                 signed = sum(
                     c if d % 2 == 0 else -c for d, c in counts.items() if d >= 0
                 ) - counts.get(-1, 0)
                 assert signed == reduced_euler(k)
+
+
+def signed_sum(counts):
+    return sum(c if d % 2 == 0 else -c for d, c in counts.items())
+
+
+def kozlov_path(num_vertices: int):
+    """Ind(P_m) for m = num_vertices: S^(k-1) for m = 3k-1 or 3k, else a point."""
+    k, rest = divmod(num_vertices + 1, 3)
+    return {} if rest == 2 else {k - 1: 1}
+
+
+class TestDeepInputs:
+    """Inputs far deeper than Python's recursion limit."""
+
+    @pytest.mark.parametrize("n", [4999, 5000, 5001])
+    def test_long_all_ones_path(self, n):
+        # the complex of P_n with all bounds 1 is the matching complex, Ind(P_{n-1})
+        assert sphere_counts(gen_path(n), (1,) * n) == kozlov_path(n - 1)
+
+    @staticmethod
+    def spider(legs: int, length: int) -> Graph:
+        edges = []
+        for leg in range(legs):
+            first = 1 + leg * length
+            edges.append((0, first))
+            edges.extend((v, v + 1) for v in range(first, first + length - 1))
+        return Graph(1 + legs * length, tuple(edges))
+
+    def test_spider_with_dead_center(self):
+        g = self.spider(5, 600)
+        b = (0,) + (1,) * 3000
+        # five detached 600-vertex paths, each Ind(P_599) = S^199, joined
+        assert sphere_counts(g, b) == {999: 1}
+
+    def test_spider_matches_euler(self):
+        g = self.spider(5, 600)
+        for b in [(1,) * 3001, (2,) + (1,) * 3000, (3,) + (2, 1) * 1500]:
+            assert signed_sum(sphere_counts(g, b)) == reference_reduced_euler(g, b)

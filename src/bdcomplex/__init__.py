@@ -2,11 +2,9 @@
 exact homology oracle."""
 
 from .caterpillar import (
-    SpineSubset,
     caterpillar_closed_form,
     cycle_reduce,
     cycle_reduction_edge_map,
-    spine_subsets,
     star_profile,
 )
 from .complexes import (

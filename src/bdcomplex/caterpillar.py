@@ -5,60 +5,23 @@ The caterpillar formula sums over subsets T of spine edges: each T
 contributes spheres of dimension (total spine bound) - |T| - 1 with
 multiplicity prod_i C(m_i - 1, lambda_i - T_i), where T_i is the degree of
 spine vertex i in T.  Out-of-range binomials are zero, which silently kills
-subsets that over-saturate a vertex or ask for more leaves than exist.
+subsets that over-saturate a vertex or ask for more leaves than exist.  The
+product factorises along the spine, so the sum over all 2^(n-1) subsets is
+a left-to-right transfer over (edge into vertex i chosen, |T| so far).
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
 
 from .errors import HypothesisViolatedError, InvalidSizeError, InvalidStarError
 from .graph import CaterpillarSpec, DegreeBounds, Graph, gen_path
-from .recursion import SphereCounts, counts_normalize
+from .recursion import SphereCounts
 
 
 def _binom(a: int, b: int) -> int:
     return comb(a, b) if 0 <= b <= a else 0
-
-
-@dataclass(frozen=True)
-class SpineSubset:
-    """A subset of the spine edges 0..n-2 of a length-n spine."""
-
-    n: int
-    members: frozenset[int]
-
-    def __post_init__(self):
-        if any(not 0 <= e < self.n - 1 for e in self.members):
-            raise ValueError("spine edge index out of range")
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def vertex_degrees(self) -> tuple[int, ...]:
-        """Degree of each spine vertex in the subgraph induced by the subset."""
-        deg = [0] * self.n
-        for e in self.members:
-            deg[e] += 1
-            deg[e + 1] += 1
-        return tuple(deg)
-
-    def suspension_flags(self) -> tuple[int, ...]:
-        """1 at spine vertex i > 0 when the edge entering it from the left is chosen."""
-        return tuple(
-            1 if i > 0 and (i - 1) in self.members else 0 for i in range(self.n)
-        )
-
-
-def spine_subsets(n: int):
-    """All subsets of the n-1 spine edges of a length-n spine."""
-    for r in range(n):
-        for combo in itertools.combinations(range(n - 1), r):
-            yield SpineSubset(n, frozenset(combo))
 
 
 def star_profile(k: int, r: int) -> SphereCounts:
@@ -87,19 +50,22 @@ def caterpillar_closed_form(spec: CaterpillarSpec) -> SphereCounts:
             "closed form needs every spine vertex adjacent to a leaf; "
             "use the forest recursion instead"
         )
+    # transfer along the spine: (edge into vertex i chosen, |T| so far) -> sum
+    # of the partial products over the chosen edges to the left of vertex i
+    states = {(0, 0): 1}
+    for i, (m_i, lam_i) in enumerate(zip(spec.m, spec.lambda_spine)):
+        out_choices = (0, 1) if i < spec.n - 1 else (0,)
+        nxt: dict[tuple[int, int], int] = {}
+        for (e_in, size), w in states.items():
+            for e_out in out_choices:
+                mult = _binom(m_i - 1, lam_i - e_in - e_out)
+                if mult:
+                    key = (e_out, size + e_out)
+                    nxt[key] = nxt.get(key, 0) + w * mult
+        states = nxt
+    # the last vertex has no edge out, so every state is (0, |T|)
     total = sum(spec.lambda_spine)
-    counts: SphereCounts = {}
-    for subset in spine_subsets(spec.n):
-        degrees = subset.vertex_degrees()
-        mult = 1
-        for m_i, lam_i, t_i in zip(spec.m, spec.lambda_spine, degrees):
-            mult *= _binom(m_i - 1, lam_i - t_i)
-            if mult == 0:
-                break
-        if mult:
-            d = total - subset.size - 1
-            counts[d] = counts.get(d, 0) + mult
-    return counts_normalize(counts)
+    return {total - size - 1: w for (_, size), w in sorted(states.items())}
 
 
 def _cycle_rotation(bounds: Sequence[int]) -> Optional[int]:

@@ -104,12 +104,23 @@ def _parse_json_instance(text: str) -> Instance:
     return parse_instance(obj)
 
 
+def _error_json(exc: Exception) -> dict:
+    """The error object for a failed instance; unexpected faults also log a traceback."""
+    if not isinstance(exc, BoundedDegreeError):
+        import traceback  # only on this path: keeps it out of start-up
+
+        traceback.print_exc(file=sys.stderr)
+    return {"error": {"type": type(exc).__name__, "message": str(exc)}}
+
+
 def cmd_compute(args) -> int:
     try:
         instance = _parse_json_instance(_read_instance_text(args.instance))
         res = compute_instance(instance, args.method, args.face_cap)
-    except BoundedDegreeError as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.output)
+    except OSError:
+        raise  # an unreadable instance file is a usage error: exit 2 in main
+    except Exception as exc:  # noqa: BLE001 - any other failure is an error object
+        _emit(_error_json(exc), args.output)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(result_json(instance, res, args.timings), args.output)
@@ -137,14 +148,7 @@ def _batch_line(task: tuple[int, str]) -> dict:
         res = compute_instance(instance, _worker_state["method"], _worker_state["face_cap"])
         return result_json(instance, res, False)
     except Exception as exc:  # noqa: BLE001 - one line's fault must not stop the batch
-        if not isinstance(exc, BoundedDegreeError):
-            import traceback  # only on this path: keeps it out of start-up
-
-            traceback.print_exc(file=sys.stderr)
-        return {
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-            "line": lineno,
-        }
+        return {**_error_json(exc), "line": lineno}
 
 
 def _batch_results(tasks: list[tuple[int, str]], args):

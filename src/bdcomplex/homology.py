@@ -2,24 +2,20 @@
 
 The chain complex is augmented: the empty face generates degree -1, so the
 complex consisting of only the empty face has one reduced homology class in
-degree -1.  All arithmetic is exact.  Elimination runs in two phases: a fast
-int64 phase that only ever uses +-1 pivots and aborts if any entry grows past
-a fixed cap, and an arbitrary-precision sparse phase for whatever remains.
+degree -1.  All arithmetic is exact, on Python integers, and matrices stay
+sparse throughout: a low-valence pass splits off every +-1 pivot, and a
+textbook Smith elimination handles the (usually tiny) remainder, so memory
+follows the number of nonzeros rather than rows x columns.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .complexes import SimplicialComplex
-
-# Entries are capped well below 2**63 so that a single +-1 pivot update
-# (value + multiplier * value) can never wrap around in int64.
-_ENTRY_CAP = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -83,66 +79,56 @@ def boundary_matrix(k: SimplicialComplex, d: int) -> IntegerMatrix:
     return IntegerMatrix(len(row_index), len(col_faces), entries)
 
 
-def _unit_pivot_phase(m: IntegerMatrix):
-    """Eliminate +-1 pivots with numpy int64 arithmetic.
+def _eliminate_units(m: IntegerMatrix) -> tuple[int, dict[tuple[int, int], int]]:
+    """Split off every +-1 pivot by sparse column elimination.
 
-    Returns (number of unit pivots, leftover nonzero entries) or None when
-    an entry would exceed the cap, in which case the caller must redo the
-    whole matrix exactly.
+    Low-valence pivoting after Dumas, Heckenbach, Saunders and Welker: the
+    column with the fewest nonzeros comes off a lazy heap first, and within it
+    the unit entry whose row has the fewest nonzeros, which keeps fill-in low.
+    Column operations clear the rest of the pivot row, after which the pivot
+    is alone in its row, so its row and column split off as one invariant
+    factor 1.  Returns the number of unit pivots and the entries left once no
+    column holds a unit.
     """
-    if any(abs(v) > _ENTRY_CAP for v in m.entries.values()):
-        return None
-    a = np.zeros((m.rows, m.cols), dtype=np.int64)
+    cols: dict[int, dict[int, int]] = {}
+    row_cols: dict[int, set[int]] = {}
     for (i, j), v in m.entries.items():
-        a[i, j] = v
-    row_active = np.ones(m.rows, dtype=bool)
-    col_active = np.ones(m.cols, dtype=bool)
-    col_nnz = np.count_nonzero(a, axis=0)
-    row_nnz = np.count_nonzero(a, axis=1)
-    big = m.rows + m.cols + 1
-    unit_rank = 0
-
-    while True:
-        scores = np.where(col_active & (col_nnz > 0), col_nnz, big)
-        c = int(np.argmin(scores))
-        if scores[c] == big:
-            return unit_rank, {}
-        col = a[:, c]
-        rows_nz = np.nonzero((col != 0) & row_active)[0]
-        unit_rows = rows_nz[np.abs(col[rows_nz]) == 1]
-        if unit_rows.size == 0:
-            # rare: the sparsest column has no unit entry; take any unit entry
-            mask = (np.abs(a) == 1) & row_active[:, None] & col_active[None, :]
-            hits = np.argwhere(mask)
-            if hits.size == 0:
-                leftover = {}
-                for i in np.nonzero(row_active)[0]:
-                    for j in np.nonzero(a[i] != 0)[0]:
-                        if col_active[j]:
-                            leftover[(int(i), int(j))] = int(a[i, j])
-                return unit_rank, leftover
-            r, c = (int(x) for x in min(hits, key=lambda h: (col_nnz[h[1]], row_nnz[h[0]])))
-            col = a[:, c]
-            rows_nz = np.nonzero((col != 0) & row_active)[0]
-        else:
-            r = int(min(unit_rows, key=lambda i: (row_nnz[i], i)))
-        s = int(a[r, c])
-        others = rows_nz[rows_nz != r]
-        cols_sup = np.nonzero((a[r] != 0) & col_active)[0]
-        if others.size:
-            mult = a[others, c] * s
-            block = a[np.ix_(others, cols_sup)]
-            new_block = block - mult[:, None] * a[r, cols_sup][None, :]
-            if np.abs(new_block).max() > _ENTRY_CAP:
-                return None
-            nz_delta = (new_block != 0).astype(np.int64) - (block != 0).astype(np.int64)
-            col_nnz[cols_sup] += nz_delta.sum(axis=0)
-            row_nnz[others] += nz_delta.sum(axis=1)
-            a[np.ix_(others, cols_sup)] = new_block
-        row_active[r] = False
-        col_active[c] = False
-        col_nnz[cols_sup] -= 1
-        unit_rank += 1
+        cols.setdefault(j, {})[i] = v
+        row_cols.setdefault(i, set()).add(j)
+    heap = [(len(col), j) for j, col in cols.items()]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        size, c = heapq.heappop(heap)
+        col = cols.get(c)
+        if col is None or len(col) != size:
+            continue  # eliminated, or changed since and queued again
+        unit_rows = [i for i, v in col.items() if v == 1 or v == -1]
+        if not unit_rows:
+            continue  # queued again if a later column operation changes it
+        r = min(unit_rows, key=lambda i: (len(row_cols[i]), i))
+        s = col.pop(r)
+        del cols[c]
+        for i in col:
+            row_cols[i].discard(c)
+        for j in row_cols.pop(r) - {c}:
+            target = cols[j]
+            f = target.pop(r) * s  # s * s == 1, so this clears target[r]
+            for i, v in col.items():
+                w = target.get(i, 0) - f * v
+                if w:
+                    target[i] = w
+                    row_cols[i].add(j)
+                else:
+                    del target[i]
+                    row_cols[i].discard(j)
+            if target:
+                heapq.heappush(heap, (len(target), j))
+            else:
+                del cols[j]
+        units += 1
+    leftover = {(i, j): v for j, col in cols.items() for i, v in col.items()}
+    return units, leftover
 
 
 def _exact_snf(entries: dict[tuple[int, int], int]):
@@ -223,15 +209,9 @@ def _divisibility_fix(values: list[int]) -> tuple[int, ...]:
 
 def smith_normal_form(m: IntegerMatrix) -> tuple[int, tuple[int, ...]]:
     """Rank and invariant factors d1 | d2 | ... | d_rank of an integer matrix."""
-    if not m.entries:
-        return 0, ()
-    fast = _unit_pivot_phase(m)
-    if fast is None:
-        rank, diagonal = _exact_snf(m.entries)
-        return rank, _divisibility_fix(diagonal)
-    unit_rank, leftover = fast
-    extra_rank, diagonal = _exact_snf(leftover) if leftover else (0, [])
-    return unit_rank + extra_rank, _divisibility_fix([1] * unit_rank + diagonal)
+    units, leftover = _eliminate_units(m)
+    rank, diagonal = _exact_snf(leftover)
+    return units + rank, (1,) * units + _divisibility_fix(diagonal)
 
 
 @dataclass(frozen=True)

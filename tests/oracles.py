@@ -4,18 +4,20 @@ Everything here deliberately avoids the code paths it is used to check:
 faces come from raw subset enumeration, ranks from Fraction elimination,
 Smith forms from a dense textbook reduction, isomorphism from explicit
 bijection search, sphere counts from the edge-by-edge recursion on whole
-forests, canonical codes from the recursive center-rooted encoding, and
-Euler characteristics from a signed count of faces.
+forests, canonical codes from the recursive center-rooted encoding, caterpillar
+sphere counts from the sum over every spine-edge subset, and Euler
+characteristics from a signed count of faces.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from bdcomplex.errors import NotAForestError
-from bdcomplex.graph import Graph, canonical_code, components, is_forest, validate_bounds
+from bdcomplex.graph import CaterpillarSpec, Graph, canonical_code, components, is_forest, validate_bounds
 from bdcomplex.recursion import (
     counts_add,
     counts_shift,
@@ -336,3 +338,57 @@ def reference_reduced_euler(graph: Graph, bounds) -> int:
             ]
         total *= sum(table[root])
     return -total
+
+
+@dataclass(frozen=True)
+class SpineSubset:
+    """A subset of the spine edges 0..n-2 of a length-n spine."""
+
+    n: int
+    members: frozenset[int]
+
+    def __post_init__(self):
+        if any(not 0 <= e < self.n - 1 for e in self.members):
+            raise ValueError("spine edge index out of range")
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+    def vertex_degrees(self) -> tuple[int, ...]:
+        """Degree of each spine vertex in the subgraph induced by the subset."""
+        deg = [0] * self.n
+        for e in self.members:
+            deg[e] += 1
+            deg[e + 1] += 1
+        return tuple(deg)
+
+    def suspension_flags(self) -> tuple[int, ...]:
+        """1 at spine vertex i > 0 when the edge entering it from the left is chosen."""
+        return tuple(
+            1 if i > 0 and (i - 1) in self.members else 0 for i in range(self.n)
+        )
+
+
+def spine_subsets(n: int):
+    """All subsets of the n-1 spine edges of a length-n spine."""
+    for r in range(n):
+        for combo in itertools.combinations(range(n - 1), r):
+            yield SpineSubset(n, frozenset(combo))
+
+
+def reference_caterpillar_counts(spec: CaterpillarSpec) -> dict[int, int]:
+    """The caterpillar closed form as its sum over all 2^(n-1) spine-edge subsets."""
+    total = sum(spec.lambda_spine)
+    counts: dict[int, int] = {}
+    for subset in spine_subsets(spec.n):
+        mult = 1
+        for m_i, lam_i, t_i in zip(spec.m, spec.lambda_spine, subset.vertex_degrees()):
+            b = lam_i - t_i
+            mult *= comb(m_i - 1, b) if 0 <= b <= m_i - 1 else 0
+            if mult == 0:
+                break
+        if mult:
+            d = total - subset.size - 1
+            counts[d] = counts.get(d, 0) + mult
+    return counts

@@ -4,11 +4,9 @@ from math import comb
 import pytest
 
 from bdcomplex.caterpillar import (
-    SpineSubset,
     caterpillar_closed_form,
     cycle_reduce,
     cycle_reduction_edge_map,
-    spine_subsets,
     star_profile,
 )
 from bdcomplex.complexes import build_complex
@@ -20,6 +18,8 @@ from bdcomplex.errors import (
 from bdcomplex.graph import CaterpillarSpec, gen_caterpillar, gen_cycle
 from bdcomplex.homology import reduced_homology
 from bdcomplex.recursion import sphere_counts
+
+from oracles import SpineSubset, reference_caterpillar_counts, spine_subsets
 
 
 class TestStarProfile:
@@ -95,6 +95,25 @@ class TestClosedForm:
                     term *= comb(m_i - 1, b) if 0 <= b <= m_i - 1 else 0
                 expected += term
             assert total == expected
+
+    def test_matches_spine_subset_sum_grid(self):
+        checked = 0
+        for n in range(1, 5):
+            for m in itertools.product((1, 2, 3), repeat=n):
+                for lam in itertools.product(range(4), repeat=n):
+                    spec = CaterpillarSpec(m, lam)
+                    assert caterpillar_closed_form(spec) == reference_caterpillar_counts(spec), spec
+                    checked += 1
+        assert checked == 22620
+
+    def test_long_spine_matches_recursion(self):
+        # 2^39 spine-edge subsets: only the transfer along the spine can do this
+        m = tuple(1 + i % 3 for i in range(40))
+        lam = tuple(1 + i % 3 for i in range(40))
+        spec = CaterpillarSpec(m, lam)
+        g, b = gen_caterpillar(spec)
+        counts = caterpillar_closed_form(spec)
+        assert len(counts) == 8 and counts == sphere_counts(g, b)
 
     def test_matches_recursion_small_grid(self):
         for n in range(1, 4):

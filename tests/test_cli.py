@@ -163,6 +163,25 @@ class TestCompute:
         assert code == 1
         assert json.loads(out)["error"]["type"] == "ParseError"
 
+    def test_any_failure_is_an_error_object(self, capsys, tmp_path, monkeypatch):
+        def deep(instance, *args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "compute_instance", deep)
+        code, out, err = run(capsys, ["compute", write_instance(tmp_path, TWO_SPINE)])
+        assert code == 1
+        assert json.loads(out) == {
+            "error": {"type": "RecursionError", "message": "maximum recursion depth exceeded"}
+        }
+        assert "Traceback" in err
+
+    def test_undecodable_file_is_an_error_object(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"n": 1, "edges": [], "lambda": [1]}\xff')
+        code, out, _ = run(capsys, ["compute", str(path)])
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "UnicodeDecodeError"
+
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, ["compute", str(tmp_path / "absent.json")])
         assert code == 2 and "error" in err

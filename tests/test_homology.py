@@ -1,7 +1,14 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
+import bdcomplex
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdcomplex.complexes import SimplicialComplex, build_complex
 from bdcomplex.graph import (
@@ -118,6 +125,38 @@ class TestSmithNormalForm:
             for a, b in zip(factors, factors[1:]):
                 assert b % a == 0
 
+    ENTRIES = {
+        "mostly-units": st.sampled_from((-1, -1, 1, 1, 1, 0, 0, 2, -3)),
+        "no-units": st.sampled_from((0, 2, -2, 3, -4, 6, 9, -10)),
+        "huge": st.one_of(
+            st.integers(-1, 1),
+            st.integers(2**30 + 1, 2**70),
+            st.integers(-(2**70), -(2**30) - 1),
+        ),
+    }
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_matches_naive_snf_property(self, data):
+        kind = data.draw(st.sampled_from(sorted(self.ENTRIES)))
+        rows = data.draw(st.integers(1, 6))
+        cols = data.draw(st.integers(1, 6))
+        dense = data.draw(
+            st.lists(
+                st.lists(self.ENTRIES[kind], min_size=cols, max_size=cols),
+                min_size=rows,
+                max_size=rows,
+            )
+        )
+        for i in data.draw(st.sets(st.integers(0, rows - 1))):
+            dense[i] = [0] * cols
+        for j in data.draw(st.sets(st.integers(0, cols - 1))):
+            for row in dense:
+                row[j] = 0
+        rank, factors = smith_normal_form(IntegerMatrix.from_dense(dense))
+        assert (rank, factors) == naive_snf(dense)
+        assert rank == len(factors) and all(b % a == 0 for a, b in zip(factors, factors[1:]))
+
     def test_on_boundary_matrices(self):
         rng = random.Random(8)
         for _ in range(15):
@@ -206,7 +245,7 @@ class TestWedgeProfile:
 
 class TestExactFallback:
     def test_large_entries_stay_exact(self):
-        # entries beyond the int64 fast-path cap must still come out exact
+        # entries far past machine-word range must still come out exact
         big = 3 ** 50
         m = IntegerMatrix.from_dense([[big, 0], [0, big * 2]])
         rank, factors = smith_normal_form(m)
@@ -215,3 +254,33 @@ class TestExactFallback:
     def test_no_unit_entries(self):
         m = IntegerMatrix.from_dense([[2, 4], [6, 10]])
         assert smith_normal_form(m) == naive_snf([[2, 4], [6, 10]])
+
+
+class TestMemoryBound:
+    def test_large_caterpillar_under_one_gigabyte(self):
+        # a dense rows x columns int64 array for one boundary matrix of this
+        # 47,238-face complex would take 1.26 GB on its own
+        script = textwrap.dedent(
+            """
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from bdcomplex import (
+                CaterpillarSpec, build_complex, caterpillar_closed_form,
+                gen_caterpillar, reduced_homology, wedge_profile,
+            )
+            spec = CaterpillarSpec((3,) * 5, (2,) * 5)
+            k = build_complex(*gen_caterpillar(spec))
+            assert k.num_faces == 47238, k.num_faces
+            assert wedge_profile(reduced_homology(k)) == caterpillar_closed_form(spec)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(bdcomplex.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -4,7 +4,6 @@ exact homology oracle."""
 from .caterpillar import (
     caterpillar_closed_form,
     cycle_reduce,
-    cycle_reduction_edge_map,
     star_profile,
 )
 from .complexes import (

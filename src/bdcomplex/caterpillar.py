@@ -68,54 +68,34 @@ def caterpillar_closed_form(spec: CaterpillarSpec) -> SphereCounts:
     return {total - size - 1: w for (_, size), w in sorted(states.items())}
 
 
-def _cycle_rotation(bounds: Sequence[int]) -> Optional[int]:
-    """Index of the first bound != 1, or None when every bound is 1."""
-    for i, b in enumerate(bounds):
-        if b != 1:
-            return i
-    return None
-
-
-def cycle_reduce(n: int, bounds: Sequence[int]) -> Optional[tuple[Graph, DegreeBounds]]:
+def cycle_reduce(
+    n: int, bounds: Sequence[int]
+) -> Optional[tuple[Graph, DegreeBounds, tuple[Optional[int], ...]]]:
     """Path instance whose complex equals that of the cycle instance.
 
     The cycle is rotated so the first bound different from 1 sits at the last
     position.  A zero bound there disconnects the cycle into a shorter path;
     a bound of at least 2 makes the constraint at that vertex slack enough to
-    split it into the two ends of a longer path.  Returns None when every
-    bound is 1, where no such reduction exists.
+    split it into the two ends of a longer path.  Returns (path, path bounds,
+    edge map), where the edge map sends cycle edge k (joining vertices k and
+    k+1 mod n) to its path edge, or to None when the cut kills it.  Returns
+    None when every bound is 1, where no such reduction exists.
     """
     bounds = tuple(int(b) for b in bounds)
     if n < 3 or len(bounds) != n:
         raise InvalidSizeError("cycle instances need n >= 3 matching bounds")
     if any(b < 0 for b in bounds):
         raise ValueError("degree bounds must be non-negative")
-    pivot = _cycle_rotation(bounds)
+    pivot = next((i for i, b in enumerate(bounds) if b != 1), None)
     if pivot is None:
         return None
-    rotated = tuple(bounds[(j + pivot + 1) % n] for j in range(n))
+    rotated = bounds[pivot + 1 :] + bounds[: pivot + 1]
     last = rotated[n - 1]
     if last == 0:
-        return gen_path(n - 1), rotated[: n - 1]
-    return gen_path(n + 1), (1,) + rotated[: n - 1] + (last - 1,)
-
-
-def cycle_reduction_edge_map(n: int, bounds: Sequence[int]) -> Optional[tuple[Optional[int], ...]]:
-    """Cycle edge index -> path edge index under the reduction, None per killed edge.
-
-    Cycle edge k joins vertices k and k+1 mod n.  Matches the rotation chosen
-    by cycle_reduce; returns None when the instance is not reducible.
-    """
-    bounds = tuple(int(b) for b in bounds)
-    if n < 3 or len(bounds) != n:
-        raise InvalidSizeError("cycle instances need n >= 3 matching bounds")
-    pivot = _cycle_rotation(bounds)
-    if pivot is None:
-        return None
-    if bounds[pivot] == 0:
-        mapping = []
-        for k in range(n):
-            j = (k - pivot - 1) % n
-            mapping.append(j if j <= n - 3 else None)
-        return tuple(mapping)
-    return tuple((k - pivot) % n for k in range(n))
+        # path vertex j is cycle vertex pivot+1+j; the two edges at the pivot die
+        shifted = ((k - pivot - 1) % n for k in range(n))
+        edge_map = tuple(j if j <= n - 3 else None for j in shifted)
+        return gen_path(n - 1), rotated[: n - 1], edge_map
+    # path vertex j is cycle vertex pivot+j; the pivot is both ends 0 and n
+    edge_map = tuple((k - pivot) % n for k in range(n))
+    return gen_path(n + 1), (1,) + rotated[: n - 1] + (last - 1,), edge_map

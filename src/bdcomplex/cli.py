@@ -11,18 +11,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from multiprocessing import Pool
+from contextlib import nullcontext
+from functools import partial
 from typing import Optional
 
 from .complexes import DEFAULT_FACE_CAP
 from .errors import BoundedDegreeError, InvalidParamsError, ParseError
 from .graph import CaterpillarSpec, gen_cycle, gen_path
 from .harness import (
+    METHODS,
     ComputeResult,
     Instance,
     compute_instance,
     instance_json,
     parse_instance,
+    pool_map,
     sweep_caterpillars,
     sweep_cycles,
     sweep_forests,
@@ -127,57 +130,31 @@ def cmd_compute(args) -> int:
     return 0
 
 
-_worker_state: dict = {}
-
-
-def _batch_init(method: str, face_cap: int):
-    _worker_state["method"] = method
-    _worker_state["face_cap"] = face_cap
-
-
-def _batch_line(task: tuple[int, str]) -> dict:
+def _batch_line(method: str, face_cap: int, task: tuple[int, bytes]) -> dict:
     """Result object for one input line, or an error object naming the line.
 
     Any exception becomes an error object, so one bad line (malformed input,
-    an exhausted face cap, even a RecursionError or MemoryError) never costs
-    the other lines their output.
+    bytes that are not UTF-8, an exhausted face cap, even a RecursionError or
+    MemoryError) never costs the other lines their output.
     """
     lineno, line = task
     try:
-        instance = _parse_json_instance(line)
-        res = compute_instance(instance, _worker_state["method"], _worker_state["face_cap"])
+        instance = _parse_json_instance(line.decode("utf-8"))
+        res = compute_instance(instance, method, face_cap)
         return result_json(instance, res, False)
     except Exception as exc:  # noqa: BLE001 - one line's fault must not stop the batch
         return {**_error_json(exc), "line": lineno}
 
 
-def _batch_results(tasks: list[tuple[int, str]], args):
-    """Each line's object in input order, yielded as soon as it is ready."""
-    _batch_init(args.method, args.face_cap)
-    if args.jobs > 1 and len(tasks) > 1:
-        with Pool(
-            processes=args.jobs,
-            initializer=_batch_init,
-            initargs=(args.method, args.face_cap),
-        ) as pool:
-            yield from pool.imap(_batch_line, tasks, chunksize=1)
-    else:
-        yield from map(_batch_line, tasks)
-
-
 def cmd_batch(args) -> int:
-    if args.file == "-":
-        raw_lines = sys.stdin.read().splitlines()
-    else:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            raw_lines = fh.read().splitlines()
-    tasks = [
-        (i, line) for i, line in enumerate(raw_lines, start=1) if line.strip()
-    ]
-    failed = False
-    for obj in _batch_results(tasks, args):
-        failed = failed or "error" in obj
-        _emit(obj, args.output)
+    worker = partial(_batch_line, args.method, args.face_cap)
+    with open(args.file, "rb") if args.file != "-" else nullcontext(sys.stdin.buffer) as fh:
+        # read lazily, one line at a time; each line is decoded on its own in _batch_line
+        tasks = ((i, line) for i, line in enumerate(fh, start=1) if line.strip())
+        failed = False
+        for obj in pool_map(worker, tasks, args.jobs):
+            failed = failed or "error" in obj
+            _emit(obj, args.output)
     return 1 if failed else 0
 
 
@@ -215,49 +192,23 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    pool = {"jobs": args.jobs, "face_cap": args.face_cap}
     if args.family == "forests":
         report = sweep_forests(
-            args.max_edges,
-            args.max_bound,
-            jobs=args.jobs,
-            face_cap=args.face_cap,
-            raw_samples=args.raw_samples,
-            seed=args.seed,
+            args.max_edges, args.max_bound, raw_samples=args.raw_samples, seed=args.seed, **pool
         )
     elif args.family == "caterpillars":
         report = sweep_caterpillars(
-            args.max_spine,
-            args.max_leaves,
-            args.max_bound,
-            min_leaves=args.min_leaves,
-            jobs=args.jobs,
-            face_cap=args.face_cap,
+            args.max_spine, args.max_leaves, args.max_bound, min_leaves=args.min_leaves, **pool
         )
     elif args.family == "cycles":
-        report = sweep_cycles(
-            list(range(3, args.max_n + 1)),
-            args.max_bound,
-            _parse_int_list(args.last_bounds, "--last-bounds"),
-            jobs=args.jobs,
-            face_cap=args.face_cap,
-        )
+        last_bounds = _parse_int_list(args.last_bounds, "--last-bounds")
+        report = sweep_cycles(list(range(3, args.max_n + 1)), args.max_bound, last_bounds, **pool)
     elif args.family == "matching":
-        report = sweep_matching_caterpillars(
-            args.max_spine,
-            args.max_leaves,
-            _parse_int_list(args.k, "--k"),
-            jobs=args.jobs,
-            face_cap=args.face_cap,
-        )
+        k_values = _parse_int_list(args.k, "--k")
+        report = sweep_matching_caterpillars(args.max_spine, args.max_leaves, k_values, **pool)
     else:  # random
-        report = sweep_random_forests(
-            args.count,
-            args.seed,
-            args.max_edges,
-            args.max_bound,
-            jobs=args.jobs,
-            face_cap=args.face_cap,
-        )
+        report = sweep_random_forests(args.count, args.seed, args.max_edges, args.max_bound, **pool)
     obj = report.to_json(include_timings=args.timings)
     if args.output == "table":
         for key, value in obj.items():
@@ -286,13 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="compute one instance")
     p.add_argument("instance", nargs="?", default="-", help="instance JSON file or - for stdin")
-    p.add_argument("--method", choices=("auto", "recursion", "closed-form", "homology"), default="auto")
+    p.add_argument("--method", choices=METHODS, default="auto")
     common(p)
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("batch", help="compute a JSON-lines file of instances")
     p.add_argument("file", nargs="?", default="-")
-    p.add_argument("--method", choices=("auto", "recursion", "closed-form", "homology"), default="auto")
+    p.add_argument("--method", choices=METHODS, default="auto")
     p.add_argument("--jobs", type=int, default=1)
     common(p)
     p.set_defaults(func=cmd_batch)
@@ -315,10 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def verify_common(q):
         q.add_argument("--jobs", type=int, default=1)
-        q.add_argument("--face-cap", type=int, default=DEFAULT_FACE_CAP)
-        q.add_argument("--output", choices=("json", "table"), default="json")
-        q.add_argument("--timings", action="store_true")
         q.add_argument("--seed", type=int, default=0)
+        common(q)
 
     q = fam.add_parser("forests")
     q.add_argument("--max-edges", type=int, default=5)

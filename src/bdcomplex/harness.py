@@ -1,11 +1,15 @@
 """Instance model, method dispatch, and batch verification sweeps.
 
-Sweeps verify many instances against the homology oracle.  Two instances
-whose (forest, bounds) pairs are isomorphic after clamping each bound at the
-vertex degree have equal complexes up to relabeling, so the oracle runs once
-per canonical class; the cheap routes (recursion, closed form) still run per
-instance.  The clamping and relabeling equivalences themselves are covered
-by dedicated tests and by seeded raw-instance spot checks inside the sweeps.
+Every sweep runs one pipeline (`_sweep`): it lists (graph, bounds, extra)
+instances, groups them into classes, runs a worker once per class (the
+homology oracle, through `pool_map`), and then checks every instance,
+duplicates included, against the result of its class.  Two instances whose
+(forest, bounds) pairs are isomorphic after clamping each bound at the
+vertex degree have equal complexes up to relabeling, so by default a class
+is a canonical code of the clamped bounds; the cheap routes (recursion,
+closed form) still run per instance.  The clamping and relabeling
+equivalences themselves are covered by dedicated tests and by seeded
+raw-instance spot checks in the forest sweep.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Optional, Sequence
 
-from .caterpillar import caterpillar_closed_form, cycle_reduce, cycle_reduction_edge_map
+from .caterpillar import caterpillar_closed_form, cycle_reduce
 from .complexes import DEFAULT_FACE_CAP, build_complex, reduced_euler
 from .errors import MethodMismatchError, ParseError
 from .graph import (
@@ -43,12 +47,10 @@ METHODS = ("auto", "recursion", "closed-form", "homology")
 class Instance:
     """A parsed problem instance: a graph, its bounds, and its source form."""
 
-    kind: str  # "graph" | "caterpillar" | "cycle"
     graph: Graph
     bounds: DegreeBounds
     source: dict
     cat_spec: Optional[CaterpillarSpec] = None
-    cycle_n: Optional[int] = None
 
 
 def _require_int_list(obj, what: str) -> list[int]:
@@ -79,7 +81,7 @@ def parse_instance(obj) -> Instance:
             graph, bounds = gen_caterpillar(spec)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
-        return Instance("caterpillar", graph, bounds, obj, cat_spec=spec)
+        return Instance(graph, bounds, obj, cat_spec=spec)
     if "cycle" in obj:
         body = obj["cycle"]
         if not isinstance(body, dict) or not isinstance(body.get("n"), int):
@@ -91,7 +93,7 @@ def parse_instance(obj) -> Instance:
             bounds = validate_bounds(graph, lam)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
-        return Instance("cycle", graph, bounds, obj, cycle_n=n)
+        return Instance(graph, bounds, obj)
     if "n" in obj and "edges" in obj:
         if not isinstance(obj["n"], int):
             raise ParseError("n must be an integer")
@@ -106,7 +108,7 @@ def parse_instance(obj) -> Instance:
             bounds = validate_bounds(graph, lam)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
-        return Instance("graph", graph, bounds, obj)
+        return Instance(graph, bounds, obj)
     raise ParseError("instance matches no known schema")
 
 
@@ -191,7 +193,7 @@ def compute_instance(
         bounds = tuple(instance.bounds[v] for v in order)
         reduced = cycle_reduce(len(order), bounds)
         if reduced is not None:
-            path, path_bounds = reduced
+            path, path_bounds, _ = reduced
             return done("cycle-reduce", sphere_counts(path, path_bounds))
     k = build_complex(instance.graph, instance.bounds, face_cap)
     profile = reduced_homology(k)
@@ -210,7 +212,6 @@ class ClassOracle:
     wedge: Optional[SphereCounts]
     torsion: dict[int, tuple[int, ...]]
     euler: int
-    num_faces: int
 
 
 @dataclass
@@ -226,6 +227,11 @@ class VerifyReport:
     errors: list = field(default_factory=list)
     raw_checked: int = 0
     elapsed_ms: float = 0.0
+    started: float = field(default_factory=time.perf_counter, repr=False, compare=False)
+
+    def finish(self) -> VerifyReport:
+        self.elapsed_ms = (time.perf_counter() - self.started) * 1000.0
+        return self
 
     @property
     def ok(self) -> bool:
@@ -265,32 +271,59 @@ def clamped_bound_grid(graph: Graph, max_bound: int):
     return itertools.product(*[range(min(max_bound, d) + 1) for d in graph.degrees()])
 
 
-def _oracle_worker(task):
-    (num_vertices, edges, bounds, face_cap) = task
-    graph = Graph(num_vertices, edges)
-    k = build_complex(graph, bounds, face_cap)
-    profile = reduced_homology(k)
-    return ClassOracle(
-        wedge=wedge_profile(profile),
-        torsion=profile.torsion,
-        euler=reduced_euler(k),
-        num_faces=k.num_faces,
-    )
-
-
-def _run_oracles(class_reps, jobs: int, face_cap: int) -> list[ClassOracle]:
-    tasks = [
-        (graph.num_vertices, graph.edges, bounds, face_cap)
-        for graph, bounds in class_reps
-    ]
-    if jobs <= 1 or len(tasks) < 4:
-        return [_oracle_worker(t) for t in tasks]
+def pool_map(fn, tasks, jobs: int, chunksize: int = 1):
+    """Yield `fn` over `tasks` in task order, from a pool of `jobs` processes if jobs > 1."""
+    if jobs <= 1:
+        yield from map(fn, tasks)
+        return
     with Pool(processes=jobs) as pool:
-        return list(pool.imap(_oracle_worker, tasks, chunksize=max(1, len(tasks) // (jobs * 8))))
+        yield from pool.imap(fn, tasks, chunksize=chunksize)
+
+
+def _class_key(graph: Graph, bounds: DegreeBounds) -> bytes:
+    return canonical_code(graph, clamp_bounds(graph, bounds))
+
+
+def _sweep(
+    report: VerifyReport, instances, worker, check, jobs: int, face_cap: int, key=_class_key
+) -> VerifyReport:
+    """Run `worker` once per class of `instances`, then `check` every instance.
+
+    `instances` yields (graph, bounds, extra) triples and `key(graph, bounds)`
+    names an instance's class.  The first instance of a class is its
+    representative: `worker` gets (num_vertices, edges, bounds, face_cap) for
+    it, and `check(report, graph, bounds, extra, result)` runs on every
+    instance, representatives and duplicates alike, with its class's result.
+    """
+    instances = list(instances)
+    class_of: dict = {}
+    tasks = []
+    index = []
+    for graph, bounds, _ in instances:
+        i = class_of.setdefault(key(graph, bounds), len(class_of))
+        if i == len(tasks):
+            tasks.append((graph.num_vertices, graph.edges, bounds, face_cap))
+        index.append(i)
+    report.classes = len(tasks)
+    results = list(pool_map(worker, tasks, jobs, max(1, len(tasks) // (jobs * 8))))
+    for (graph, bounds, extra), i in zip(instances, index):
+        check(report, graph, bounds, extra, results[i])
+    return report.finish()
+
+
+def _oracle_worker(task) -> ClassOracle:
+    (num_vertices, edges, bounds, face_cap) = task
+    k = build_complex(Graph(num_vertices, edges), bounds, face_cap)
+    profile = reduced_homology(k)
+    return ClassOracle(wedge_profile(profile), profile.torsion, reduced_euler(k))
 
 
 def _record(graph: Graph, bounds, detail: dict) -> dict:
     return {"instance": instance_json(graph, bounds), **detail}
+
+
+def _torsion_record(graph: Graph, bounds, torsion: dict[int, tuple[int, ...]]) -> dict:
+    return _record(graph, bounds, {"torsion": {str(d): list(t) for d, t in torsion.items()}})
 
 
 def _check_instance(
@@ -300,14 +333,18 @@ def _check_instance(
     counts: SphereCounts,
     oracle: ClassOracle,
     extra_counts: Optional[dict[str, SphereCounts]] = None,
+    faults: Sequence[str] = (),
 ):
-    """Compare one instance's computed counts against its class oracle."""
+    """Compare one instance's computed counts against its class oracle.
+
+    `faults` are reasons, found while computing, that the instance disagrees.
+    """
     report.instances += 1
-    ok = True
+    ok = not faults
+    for reason in faults:
+        report.mismatches.append(_record(graph, bounds, {"reason": reason}))
     if oracle.torsion:
-        report.torsion_hits.append(
-            _record(graph, bounds, {"torsion": {str(d): list(t) for d, t in oracle.torsion.items()}})
-        )
+        report.torsion_hits.append(_torsion_record(graph, bounds, oracle.torsion))
         ok = False
     if oracle.wedge is not None and counts != oracle.wedge:
         report.mismatches.append(
@@ -329,6 +366,10 @@ def _check_instance(
         report.agreements += 1
 
 
+def _check_recursion(report, graph, bounds, extra_counts, oracle):
+    _check_instance(report, graph, bounds, sphere_counts(graph, bounds), oracle, extra_counts)
+
+
 def sweep_forests(
     max_edges: int,
     max_bound: int,
@@ -346,26 +387,8 @@ def sweep_forests(
     unclamped vectors additionally check that clamping preserves the complex
     and the recursion output.
     """
-    t0 = time.perf_counter()
     report = VerifyReport("forests", {"max_edges": max_edges, "max_bound": max_bound, "seed": seed})
     forests = nonisomorphic_forests(max_edges)
-    instances: list[tuple[int, DegreeBounds, bytes]] = []
-    class_of: dict[bytes, int] = {}
-    reps: list[tuple[Graph, DegreeBounds]] = []
-    for fi, forest in enumerate(forests):
-        for bounds in clamped_bound_grid(forest, max_bound):
-            key = canonical_code(forest, bounds)
-            if key not in class_of:
-                class_of[key] = len(reps)
-                reps.append((forest, bounds))
-            instances.append((fi, bounds, key))
-    oracles = _run_oracles(reps, jobs, face_cap)
-    report.classes = len(reps)
-
-    for fi, bounds, key in instances:
-        forest = forests[fi]
-        counts = sphere_counts(forest, bounds)
-        _check_instance(report, forest, bounds, counts, oracles[class_of[key]])
 
     def check_raw(forest: Graph, raw: DegreeBounds):
         clamped = clamp_bounds(forest, raw)
@@ -383,8 +406,12 @@ def sweep_forests(
     for _ in range(raw_samples if nonempty else 0):
         forest = rng.choice(nonempty)
         check_raw(forest, tuple(rng.randint(0, max_bound) for _ in range(forest.num_vertices)))
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return report
+    instances = (
+        (forest, bounds, None)
+        for forest in forests
+        for bounds in clamped_bound_grid(forest, max_bound)
+    )
+    return _sweep(report, instances, _oracle_worker, _check_recursion, jobs, face_cap)
 
 
 def sweep_caterpillars(
@@ -397,48 +424,34 @@ def sweep_caterpillars(
     face_cap: int = DEFAULT_FACE_CAP,
 ) -> VerifyReport:
     """Verify closed form = recursion = homology over a caterpillar grid."""
-    t0 = time.perf_counter()
     report = VerifyReport(
         "caterpillars",
-        {
-            "max_spine": max_spine,
-            "max_leaves": max_leaves,
-            "max_bound": max_bound,
-            "min_leaves": min_leaves,
-        },
+        {"max_spine": max_spine, "max_leaves": max_leaves, "max_bound": max_bound,
+         "min_leaves": min_leaves},
     )
-    instances: list[tuple[CaterpillarSpec, Graph, DegreeBounds, bytes]] = []
-    class_of: dict[bytes, int] = {}
-    reps: list[tuple[Graph, DegreeBounds]] = []
-    for n in range(1, max_spine + 1):
-        for m in itertools.product(range(min_leaves, max_leaves + 1), repeat=n):
-            for lam in itertools.product(range(max_bound + 1), repeat=n):
-                spec = CaterpillarSpec(m, lam)
-                graph, bounds = gen_caterpillar(spec)
-                key = canonical_code(graph, clamp_bounds(graph, bounds))
-                if key not in class_of:
-                    class_of[key] = len(reps)
-                    reps.append((graph, bounds))
-                instances.append((spec, graph, bounds, key))
-    oracles = _run_oracles(reps, jobs, face_cap)
-    report.classes = len(reps)
 
-    for spec, graph, bounds, key in instances:
-        counts = sphere_counts(graph, bounds)
-        extra = {}
-        if all(m >= 1 for m in spec.m):
-            extra["closed_form"] = caterpillar_closed_form(spec)
-        _check_instance(report, graph, bounds, counts, oracles[class_of[key]], extra)
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return report
+    def instances():
+        for n in range(1, max_spine + 1):
+            for m in itertools.product(range(min_leaves, max_leaves + 1), repeat=n):
+                for lam in itertools.product(range(max_bound + 1), repeat=n):
+                    spec = CaterpillarSpec(m, lam)
+                    extra = {"closed_form": caterpillar_closed_form(spec)} if min(m) >= 1 else None
+                    yield (*gen_caterpillar(spec), extra)
+
+    return _sweep(report, instances(), _oracle_worker, _check_recursion, jobs, face_cap)
 
 
-def _matching_worker(task):
-    (num_vertices, edges, k, face_cap) = task
-    graph = Graph(num_vertices, edges)
-    complex_ = build_complex(graph, (k,) * num_vertices, face_cap)
-    profile = reduced_homology(complex_)
-    return profile.torsion
+def _matching_worker(task) -> dict[int, tuple[int, ...]]:
+    (num_vertices, edges, bounds, face_cap) = task
+    return reduced_homology(build_complex(Graph(num_vertices, edges), bounds, face_cap)).torsion
+
+
+def _check_torsion_free(report, graph, bounds, _extra, torsion):
+    report.instances += 1
+    if torsion:
+        report.torsion_hits.append(_torsion_record(graph, bounds, torsion))
+    else:
+        report.agreements += 1
 
 
 def sweep_matching_caterpillars(
@@ -454,77 +467,47 @@ def sweep_matching_caterpillars(
     Every vertex, leaves included, gets the same bound k; torsion anywhere
     would contradict the wedge-of-spheres homotopy type.
     """
-    t0 = time.perf_counter()
     report = VerifyReport(
         "matching",
         {"max_spine": max_spine, "max_leaves": max_leaves, "k_values": list(k_values)},
     )
-    seen: set[bytes] = set()
-    tasks = []
-    task_meta = []
-    for n in range(1, max_spine + 1):
-        for m in itertools.product(range(max_leaves + 1), repeat=n):
-            graph, _ = gen_caterpillar(CaterpillarSpec(m, (0,) * n))
-            for k in k_values:
-                bounds = (k,) * graph.num_vertices
-                key = canonical_code(graph, clamp_bounds(graph, bounds))
-                report.instances += 1
-                if key in seen:
-                    report.agreements += 1
-                    continue
-                seen.add(key)
-                tasks.append((graph.num_vertices, graph.edges, k, face_cap))
-                task_meta.append((graph, bounds))
-    report.classes = len(tasks)
-    if jobs <= 1 or len(tasks) < 4:
-        torsions = [_matching_worker(t) for t in tasks]
-    else:
-        with Pool(processes=jobs) as pool:
-            torsions = list(pool.imap(_matching_worker, tasks, chunksize=8))
-    for (graph, bounds), torsion in zip(task_meta, torsions):
-        if torsion:
-            report.torsion_hits.append(
-                _record(graph, bounds, {"torsion": {str(d): list(t) for d, t in torsion.items()}})
-            )
-        else:
-            report.agreements += 1
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return report
+    graphs = (
+        gen_caterpillar(CaterpillarSpec(m, (0,) * n))[0]
+        for n in range(1, max_spine + 1)
+        for m in itertools.product(range(max_leaves + 1), repeat=n)
+    )
+    instances = ((graph, (k,) * graph.num_vertices, None) for graph in graphs for k in k_values)
+    return _sweep(report, instances, _matching_worker, _check_torsion_free, jobs, face_cap)
 
 
 def _cycle_worker(task):
-    (n, bounds, face_cap) = task
-    graph = gen_cycle(n)
-    cyc = build_complex(graph, bounds, face_cap)
+    """(oracle of the cycle, faults of its reduction, path counts), or None if irreducible."""
+    (n, edges, bounds, face_cap) = task
     reduced = cycle_reduce(n, bounds)
-    detail: dict = {}
     if reduced is None:
-        return {"reducible": False}
-    path, path_bounds = reduced
-    mapping = cycle_reduction_edge_map(n, bounds)
-    mapped = set()
-    for layer in cyc.faces_by_dim:
-        for face in layer:
-            if any(mapping[i] is None for i in face):
-                return {"reducible": True, "faces_equal": False, "reason": "killed edge in face"}
-            mapped.add(tuple(sorted(mapping[i] for i in face)))
+        return None
+    path, path_bounds, edge_map = reduced
+    cyc = build_complex(Graph(n, edges), bounds, face_cap)
     pk = build_complex(path, path_bounds, face_cap)
-    faces_equal = mapped == set(pk.face_set)
+    faults = []
+    if any(edge_map[i] is None for face in cyc.face_set for i in face):
+        faults.append("killed edge in face")
+    elif {tuple(sorted(edge_map[i] for i in face)) for face in cyc.face_set} != pk.face_set:
+        faults.append("face sets differ")
     cyc_h = reduced_homology(cyc)
-    path_h = reduced_homology(pk)
-    counts = sphere_counts(path, path_bounds)
-    detail.update(
-        {
-            "reducible": True,
-            "faces_equal": faces_equal,
-            "homology_equal": cyc_h == path_h,
-            "torsion": cyc_h.torsion,
-            "wedge": wedge_profile(cyc_h),
-            "counts": counts,
-            "euler": reduced_euler(cyc),
-        }
-    )
-    return detail
+    if cyc_h != reduced_homology(pk):
+        faults.append("homology differs")
+    oracle = ClassOracle(wedge_profile(cyc_h), cyc_h.torsion, reduced_euler(cyc))
+    return oracle, faults, sphere_counts(path, path_bounds)
+
+
+def _check_cycle(report, graph, bounds, _extra, result):
+    if result is None:
+        report.instances += 1
+        report.errors.append(_record(graph, bounds, {"reason": "not reducible"}))
+        return
+    oracle, faults, counts = result
+    _check_instance(report, graph, bounds, counts, oracle, faults=faults)
 
 
 def sweep_cycles(
@@ -538,54 +521,23 @@ def sweep_cycles(
     """Verify the cycle-to-path reduction face-for-face plus homology.
 
     Instances: cycles C_n for n in `ns`, last bound ranging over
-    `last_bounds`, all other bounds over {0..max_bound}.
+    `last_bounds`, all other bounds over {0..max_bound}.  Each instance is
+    its own class, since the reduction depends on where the bounds sit.
     """
-    t0 = time.perf_counter()
     report = VerifyReport(
         "cycles",
         {"ns": list(ns), "max_bound": max_bound, "last_bounds": list(last_bounds)},
     )
-    tasks = []
-    for n in ns:
-        for rest in itertools.product(range(max_bound + 1), repeat=n - 1):
-            for last in last_bounds:
-                tasks.append((n, rest + (last,), face_cap))
-    report.classes = len(tasks)
-    if jobs <= 1 or len(tasks) < 4:
-        results = [_cycle_worker(t) for t in tasks]
-    else:
-        with Pool(processes=jobs) as pool:
-            results = list(pool.imap(_cycle_worker, tasks, chunksize=64))
-    for (n, bounds, _), detail in zip(tasks, results):
-        report.instances += 1
-        graph = gen_cycle(n)
-        if not detail.get("reducible"):
-            report.errors.append(_record(graph, bounds, {"reason": "not reducible"}))
-            continue
-        ok = True
-        if not detail["faces_equal"]:
-            report.mismatches.append(_record(graph, bounds, {"reason": "face sets differ"}))
-            ok = False
-        if not detail["homology_equal"]:
-            report.mismatches.append(_record(graph, bounds, {"reason": "homology differs"}))
-            ok = False
-        if detail["torsion"]:
-            report.torsion_hits.append(_record(graph, bounds, {"torsion": str(detail["torsion"])}))
-            ok = False
-        if detail["wedge"] is not None and detail["counts"] != detail["wedge"]:
-            report.mismatches.append(
-                _record(graph, bounds, {"computed": detail["counts"], "oracle": detail["wedge"]})
-            )
-            ok = False
-        if signed_sphere_sum(detail["counts"]) != detail["euler"]:
-            report.euler_failures.append(
-                _record(graph, bounds, {"signed_sum": signed_sphere_sum(detail["counts"]), "euler": detail["euler"]})
-            )
-            ok = False
-        if ok:
-            report.agreements += 1
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return report
+    instances = (
+        (graph, rest + (last,), None)
+        for graph in map(gen_cycle, ns)
+        for rest in itertools.product(range(max_bound + 1), repeat=graph.num_vertices - 1)
+        for last in last_bounds
+    )
+    return _sweep(
+        report, instances, _cycle_worker, _check_cycle, jobs, face_cap,
+        key=lambda graph, bounds: (graph.num_vertices, bounds),
+    )
 
 
 def sweep_random_forests(
@@ -598,32 +550,16 @@ def sweep_random_forests(
     face_cap: int = DEFAULT_FACE_CAP,
 ) -> VerifyReport:
     """Verify recursion = homology on seeded random forest instances."""
-    t0 = time.perf_counter()
     report = VerifyReport(
         "random-forests",
         {"count": count, "seed": seed, "max_edges": max_edges, "max_bound": max_bound},
     )
     rng = random.Random(seed)
-    picked: list[tuple[Graph, DegreeBounds]] = []
+    picked = []
     while len(picked) < count:
         forest = random_forest(rng, max_edges + 1)
         if forest.num_edges > max_edges:
             continue
         bounds = tuple(rng.randint(0, max_bound) for _ in range(forest.num_vertices))
-        picked.append((forest, bounds))
-    reps: list[tuple[Graph, DegreeBounds]] = []
-    class_of: dict[bytes, int] = {}
-    keys = []
-    for graph, bounds in picked:
-        key = canonical_code(graph, clamp_bounds(graph, bounds))
-        keys.append(key)
-        if key not in class_of:
-            class_of[key] = len(reps)
-            reps.append((graph, bounds))
-    oracles = _run_oracles(reps, jobs, face_cap)
-    report.classes = len(reps)
-    for (graph, bounds), key in zip(picked, keys):
-        counts = sphere_counts(graph, bounds)
-        _check_instance(report, graph, bounds, counts, oracles[class_of[key]])
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return report
+        picked.append((forest, bounds, None))
+    return _sweep(report, picked, _oracle_worker, _check_recursion, jobs, face_cap)

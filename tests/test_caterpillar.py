@@ -6,7 +6,6 @@ import pytest
 from bdcomplex.caterpillar import (
     caterpillar_closed_form,
     cycle_reduce,
-    cycle_reduction_edge_map,
     star_profile,
 )
 from bdcomplex.complexes import build_complex
@@ -136,25 +135,24 @@ class TestCycleReduce:
     def test_slack_vertex_splits(self):
         reduced = cycle_reduce(3, (1, 1, 2))
         assert reduced is not None
-        path, bounds = reduced
+        path, bounds, _ = reduced
         assert path.num_vertices == 4 and bounds == (1, 1, 1, 1)
         assert sphere_counts(path, bounds) == {0: 1}
 
     def test_dead_vertex_cuts(self):
         reduced = cycle_reduce(4, (1, 1, 1, 0))
         assert reduced is not None
-        path, bounds = reduced
+        path, bounds, _ = reduced
         assert path.num_vertices == 3 and bounds == (1, 1, 1)
 
     def test_all_ones_not_reducible(self):
         assert cycle_reduce(5, (1, 1, 1, 1, 1)) is None
-        assert cycle_reduction_edge_map(5, (1, 1, 1, 1, 1)) is None
 
     def test_rotation_picks_first_nonunit(self):
         # bound 2 at position 0 rotates to the end before splitting
         reduced = cycle_reduce(4, (2, 1, 1, 1))
         assert reduced is not None
-        path, bounds = reduced
+        path, bounds, _ = reduced
         assert path.num_vertices == 5 and bounds == (1, 1, 1, 1, 1)
 
     def test_too_small_rejected(self):
@@ -167,8 +165,7 @@ class TestCycleReduce:
         bounds = (1, 1, 2)
         cyc = build_complex(gen_cycle(3), bounds)
         assert cyc.face_set == frozenset({(0,), (1,), (2,), (1, 2)})
-        path, path_bounds = cycle_reduce(3, bounds)
-        mapping = cycle_reduction_edge_map(3, bounds)
+        path, path_bounds, mapping = cycle_reduce(3, bounds)
         assert mapping == (1, 2, 0)
         pk = build_complex(path, path_bounds)
         assert mapped_faces(cyc, mapping) == set(pk.face_set)
@@ -180,8 +177,7 @@ class TestCycleReduce:
                     bounds = rest + (last,)
                     reduced = cycle_reduce(n, bounds)
                     assert reduced is not None
-                    path, path_bounds = reduced
-                    mapping = cycle_reduction_edge_map(n, bounds)
+                    path, path_bounds, mapping = reduced
                     cyc = build_complex(gen_cycle(n), bounds)
                     pk = build_complex(path, path_bounds)
                     killed = {i for i, j in enumerate(mapping) if j is None}

@@ -1,5 +1,8 @@
 import io
 import json
+from pathlib import Path
+
+import pytest
 
 from bdcomplex import cli
 from bdcomplex.cli import main
@@ -265,9 +268,45 @@ class TestBatch:
         assert out1 == out2
 
     def test_stdin_batch(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(self.lines()) + "\n"))
+        # batch reads stdin as bytes, so stdin is a text wrapper over bytes
+        data = ("\n".join(self.lines()) + "\n").encode()
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
         code, out, _ = run(capsys, ["batch"])
         assert code == 0 and len(out.splitlines()) == 3
+
+    def test_undecodable_line_is_an_error_object(self, capsys, tmp_path):
+        lines = [line.encode() for line in self.lines()]
+        lines[1] = b'{"n": 1, "edges": [], "lambda": [1]}\xff'
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        for jobs in ("1", "2"):
+            code, out, _ = run(capsys, ["batch", str(path), "--jobs", jobs])
+            assert code == 1
+            objs = [json.loads(line) for line in out.splitlines()]
+            assert objs[1]["error"]["type"] == "UnicodeDecodeError" and objs[1]["line"] == 2
+            assert objs[0]["method"] == "recursion" and objs[2]["method"] == "cycle-reduce"
+
+    def test_each_line_is_written_before_the_next_is_read(self, capsys, monkeypatch):
+        events = []
+
+        class Lines(io.BytesIO):
+            def __iter__(self):
+                for line in self.getvalue().splitlines(keepends=True):
+                    events.append("read")
+                    yield line
+
+        real_emit = cli._emit
+
+        def emit(obj, output):
+            events.append("write")
+            real_emit(obj, output)
+
+        monkeypatch.setattr(cli, "_emit", emit)
+        data = ("\n".join(self.lines()) + "\n").encode()
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(Lines(data)))
+        code, out, _ = run(capsys, ["batch"])
+        assert code == 0 and len(out.splitlines()) == 3
+        assert events == ["read", "write"] * 3
 
 
 class TestVerifyCommand:
@@ -309,3 +348,11 @@ class TestVerifyCommand:
         )
         assert code == 0 and "ok: True" in out
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("family", ["forests", "caterpillars", "cycles", "matching", "random"])
+    def test_default_sweeps_match_golden_output(self, capsys, family, jobs):
+        """Default sweeps at seed 7 give these exact bytes at any job count."""
+        golden = Path(__file__).parent / "data" / f"verify_{family}_seed7.json"
+        code, out, _ = run(capsys, ["verify", family, "--seed", "7", "--jobs", jobs])
+        assert code == 0
+        assert out == golden.read_text(encoding="utf-8")

@@ -1,0 +1,96 @@
+"""The sweep pipeline: pool_map, and sweeps that must report what goes wrong."""
+
+from bdcomplex import harness
+from bdcomplex.harness import (
+    pool_map,
+    sweep_caterpillars,
+    sweep_cycles,
+    sweep_forests,
+    sweep_matching_caterpillars,
+    sweep_random_forests,
+)
+from bdcomplex.homology import HomologyProfile
+
+
+def _square(x):
+    return x * x
+
+
+class TestPoolMap:
+    def test_task_order_at_any_job_count(self):
+        tasks = list(range(40))
+        expected = [x * x for x in tasks]
+        for jobs in (0, 1, 2):
+            assert list(pool_map(_square, tasks, jobs)) == expected
+        assert list(pool_map(_square, iter(tasks), 2, chunksize=7)) == expected
+
+    def test_no_tasks(self):
+        assert list(pool_map(_square, [], 1)) == []
+        assert list(pool_map(_square, [], 2)) == []
+
+
+class TestSweepFailures:
+    def test_matching_duplicates_of_a_torsion_class_are_reported(self, monkeypatch):
+        real = harness.reduced_homology
+
+        def torsion_everywhere(k):
+            profile = real(k)
+            return HomologyProfile(profile.betti, {**profile.torsion, 0: (2,)})
+
+        monkeypatch.setattr(harness, "reduced_homology", torsion_everywhere)
+        report = sweep_matching_caterpillars(2, 2, (1, 2))
+        assert report.instances == 24 and report.classes < 24
+        assert len(report.torsion_hits) == 24 and report.agreements == 0
+        assert report.torsion_hits[0]["torsion"]["0"] == [2]
+        assert report.to_json()["ok"] is False
+
+    def test_cycle_edge_map_killing_a_face_edge_is_a_mismatch(self, monkeypatch):
+        real = harness.cycle_reduce
+
+        def kill_first_edge(n, bounds):
+            path, path_bounds, edge_map = real(n, bounds)
+            return path, path_bounds, (None,) + edge_map[1:]
+
+        monkeypatch.setattr(harness, "cycle_reduce", kill_first_edge)
+        report = sweep_cycles([3], 1, (2,))
+        assert report.instances == report.classes == 4
+        reasons = [m.get("reason") for m in report.mismatches]
+        assert "killed edge in face" in reasons
+        assert report.ok is False and report.agreements < 4
+
+    def _corrupt_single_edges(self, monkeypatch):
+        """sphere_counts answers wrongly on a single edge with both bounds 1."""
+        real = harness.sphere_counts
+        corrupted = []
+
+        def wrong(graph, bounds, *args, **kwargs):
+            counts = real(graph, bounds, *args, **kwargs)
+            if graph.num_edges == 1 and tuple(bounds) == (1, 1):
+                corrupted.append((graph.edges, tuple(bounds)))
+                return {**counts, 0: counts.get(0, 0) + 1}
+            return counts
+
+        monkeypatch.setattr(harness, "sphere_counts", wrong)
+        return corrupted
+
+    def _assert_reported(self, report, corrupted):
+        assert corrupted
+        wrong = [m for m in report.mismatches if m["instance"]["lambda"] == [1, 1]]
+        assert wrong and all(m["computed"] == {0: 1} for m in wrong)
+        assert report.ok is False and report.agreements < report.instances
+
+    def test_forest_sweep_reports_a_wrong_count(self, monkeypatch):
+        corrupted = self._corrupt_single_edges(monkeypatch)
+        report = sweep_forests(2, 1, raw_samples=0)
+        self._assert_reported(report, corrupted)
+
+    def test_caterpillar_sweep_reports_a_wrong_count(self, monkeypatch):
+        corrupted = self._corrupt_single_edges(monkeypatch)
+        report = sweep_caterpillars(1, 1, 1)
+        self._assert_reported(report, corrupted)
+        assert any("closed_form" in m for m in report.mismatches)
+
+    def test_random_sweep_reports_a_wrong_count(self, monkeypatch):
+        corrupted = self._corrupt_single_edges(monkeypatch)
+        report = sweep_random_forests(30, 0, max_edges=1, max_bound=1)
+        self._assert_reported(report, corrupted)

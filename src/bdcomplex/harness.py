@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import threading
 import time
 from dataclasses import dataclass, field
 from multiprocessing import Pool
@@ -271,13 +272,40 @@ def clamped_bound_grid(graph: Graph, max_bound: int):
     return itertools.product(*[range(min(max_bound, d) + 1) for d in graph.degrees()])
 
 
+# chunks per worker that pool_map may read ahead of the results taken
+POOL_READ_AHEAD = 4
+
+
 def pool_map(fn, tasks, jobs: int, chunksize: int = 1):
-    """Yield `fn` over `tasks` in task order, from a pool of `jobs` processes if jobs > 1."""
+    """Yield `fn` over `tasks` in task order, from a pool of `jobs` processes if jobs > 1.
+
+    `tasks` is read lazily: at jobs > 1 at most POOL_READ_AHEAD * jobs *
+    chunksize tasks are taken from it beyond the results yielded so far.
+    """
     if jobs <= 1:
         yield from map(fn, tasks)
         return
+    # Pool.imap drains `tasks` from a thread of its own; the gate holds that
+    # thread back, and `stop` lets it go when the caller stops early, since
+    # the pool's exit waits for it.
+    gate = threading.Semaphore(POOL_READ_AHEAD * jobs * chunksize - 1)
+    stop = threading.Event()
+
+    def admitted():
+        for task in tasks:
+            yield task
+            gate.acquire()  # a permit to read the next task
+            if stop.is_set():
+                return
+
     with Pool(processes=jobs) as pool:
-        yield from pool.imap(fn, tasks, chunksize=chunksize)
+        try:
+            for result in pool.imap(fn, admitted(), chunksize=chunksize):
+                gate.release()
+                yield result
+        finally:
+            stop.set()
+            gate.release()
 
 
 def _class_key(graph: Graph, bounds: DegreeBounds) -> bytes:

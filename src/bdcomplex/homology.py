@@ -4,8 +4,12 @@ The chain complex is augmented: the empty face generates degree -1, so the
 complex consisting of only the empty face has one reduced homology class in
 degree -1.  All arithmetic is exact, on Python integers, and matrices stay
 sparse throughout: a low-valence pass splits off every +-1 pivot, and a
-textbook Smith elimination handles the (usually tiny) remainder, so memory
-follows the number of nonzeros rather than rows x columns.
+textbook Smith elimination, which takes its pivots from a lazy heap,
+handles the (usually tiny) remainder, so memory follows the number of
+nonzeros rather than rows x columns.  `reduced_homology` reduces the
+boundary matrices from the top dimension down and clears, that is never
+builds, the column of each face that was the row of a +-1 pivot one
+dimension up; about half the columns of a typical complex are cleared.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from .complexes import SimplicialComplex
 
@@ -57,21 +61,25 @@ class IntegerMatrix:
         return len(self.entries)
 
 
-def boundary_matrix(k: SimplicialComplex, d: int) -> IntegerMatrix:
+def boundary_matrix(k: SimplicialComplex, d: int, *, skip: Collection[int] = ()) -> IntegerMatrix:
     """Boundary operator from d-faces to (d-1)-faces of the augmented complex.
 
     Rows are indexed by the (d-1)-faces in their stored order (the single
     empty face when d = 0), columns by the d-faces.  The column of a face
     carries (-1)^j at the face obtained by removing its j-th smallest vertex.
+    The columns whose indices are in `skip` are left empty.
     """
     if d < 0:
         raise ValueError("boundary operators are indexed by d >= 0")
     col_faces = k.faces(d)
     if d == 0:
-        return IntegerMatrix(1, len(col_faces), {(0, j): 1 for j in range(len(col_faces))})
+        entries = {(0, j): 1 for j in range(len(col_faces)) if j not in skip}
+        return IntegerMatrix(1, len(col_faces), entries)
     row_index = {f: i for i, f in enumerate(k.faces(d - 1))}
     entries: dict[tuple[int, int], int] = {}
     for j, face in enumerate(col_faces):
+        if j in skip:
+            continue
         sign = 1
         for pos in range(len(face)):
             entries[(row_index[face[:pos] + face[pos + 1 :]], j)] = sign
@@ -79,7 +87,7 @@ def boundary_matrix(k: SimplicialComplex, d: int) -> IntegerMatrix:
     return IntegerMatrix(len(row_index), len(col_faces), entries)
 
 
-def _eliminate_units(m: IntegerMatrix) -> tuple[int, dict[tuple[int, int], int]]:
+def _eliminate_units(m: IntegerMatrix) -> tuple[list[int], dict[tuple[int, int], int]]:
     """Split off every +-1 pivot by sparse column elimination.
 
     Low-valence pivoting after Dumas, Heckenbach, Saunders and Welker: the
@@ -87,8 +95,8 @@ def _eliminate_units(m: IntegerMatrix) -> tuple[int, dict[tuple[int, int], int]]
     the unit entry whose row has the fewest nonzeros, which keeps fill-in low.
     Column operations clear the rest of the pivot row, after which the pivot
     is alone in its row, so its row and column split off as one invariant
-    factor 1.  Returns the number of unit pivots and the entries left once no
-    column holds a unit.
+    factor 1.  Returns the rows of the unit pivots, in pivot order, and the
+    entries left once no column holds a unit.
     """
     cols: dict[int, dict[int, int]] = {}
     row_cols: dict[int, set[int]] = {}
@@ -97,7 +105,7 @@ def _eliminate_units(m: IntegerMatrix) -> tuple[int, dict[tuple[int, int], int]]
         row_cols.setdefault(i, set()).add(j)
     heap = [(len(col), j) for j, col in cols.items()]
     heapq.heapify(heap)
-    units = 0
+    pivot_rows: list[int] = []
     while heap:
         size, c = heapq.heappop(heap)
         col = cols.get(c)
@@ -126,29 +134,29 @@ def _eliminate_units(m: IntegerMatrix) -> tuple[int, dict[tuple[int, int], int]]
                 heapq.heappush(heap, (len(target), j))
             else:
                 del cols[j]
-        units += 1
+        pivot_rows.append(r)
     leftover = {(i, j): v for j, col in cols.items() for i, v in col.items()}
-    return units, leftover
+    return pivot_rows, leftover
 
 
 def _exact_snf(entries: dict[tuple[int, int], int]):
     """Textbook sparse Smith elimination over arbitrary-precision integers.
 
     Pivot selection: smallest nonzero absolute value, ties broken by lowest
-    row then lowest column.  Returns (rank, list of diagonal values); the
-    divisibility chain is restored by the caller.
+    row then lowest column, from a lazy min-heap of (|v|, row, column) that
+    gets an item on every nonzero write; an item whose entry has since been
+    rewritten or cleared is dropped when popped.  Returns (rank, list of
+    diagonal values); the divisibility chain is restored by the caller.
     """
     rows: dict[int, dict[int, int]] = {}
     col_index: dict[int, set[int]] = {}
-    for (i, j), v in entries.items():
-        if v:
-            rows.setdefault(i, {})[j] = v
-            col_index.setdefault(j, set()).add(i)
+    heap = []
 
     def set_entry(i: int, j: int, v: int):
         if v:
             rows.setdefault(i, {})[j] = v
             col_index.setdefault(j, set()).add(i)
+            heapq.heappush(heap, (abs(v), i, j))
         else:
             row = rows.get(i)
             if row and j in row:
@@ -159,26 +167,25 @@ def _exact_snf(entries: dict[tuple[int, int], int]):
                 if not col_index[j]:
                     del col_index[j]
 
+    for (i, j), v in entries.items():
+        set_entry(i, j, v)
     diagonal: list[int] = []
     while rows:
-        r, c = min(
-            ((i, j) for i, row in rows.items() for j in row),
-            key=lambda rc: (abs(rows[rc[0]][rc[1]]), rc[0], rc[1]),
-        )
+        size, r, c = heapq.heappop(heap)
+        if abs(rows.get(r, {}).get(c, 0)) != size:
+            continue  # stale: the entry was rewritten or cleared since
         while True:
             p = rows[r][c]
-            col_rows = [i for i in col_index[c] if i != r]
-            if col_rows:
-                i = col_rows[0]
+            i = next((i for i in col_index[c] if i != r), None)
+            if i is not None:
                 q = rows[i][c] // p
                 for j, v in list(rows[r].items()):
                     set_entry(i, j, rows.get(i, {}).get(j, 0) - q * v)
                 if rows.get(i, {}).get(c, 0):
                     r = i  # remainder became the new, smaller pivot
                 continue
-            row_cols = [j for j in rows[r] if j != c]
-            if row_cols:
-                j = row_cols[0]
+            j = next((j for j in rows[r] if j != c), None)
+            if j is not None:
                 q = rows[r][j] // p
                 for i in list(col_index[c]):
                     set_entry(i, j, rows.get(i, {}).get(j, 0) - q * rows[i][c])
@@ -207,9 +214,18 @@ def _divisibility_fix(values: list[int]) -> tuple[int, ...]:
     return tuple(f)
 
 
-def smith_normal_form(m: IntegerMatrix) -> tuple[int, tuple[int, ...]]:
-    """Rank and invariant factors d1 | d2 | ... | d_rank of an integer matrix."""
-    units, leftover = _eliminate_units(m)
+def smith_normal_form(
+    m: IntegerMatrix, *, unit_rows: Optional[list[int]] = None
+) -> tuple[int, tuple[int, ...]]:
+    """Rank and invariant factors d1 | d2 | ... | d_rank of an integer matrix.
+
+    When `unit_rows` is a list, the row of every +-1 pivot of the unit
+    elimination is appended to it, in pivot order.
+    """
+    pivot_rows, leftover = _eliminate_units(m)
+    if unit_rows is not None:
+        unit_rows.extend(pivot_rows)
+    units = len(pivot_rows)
     rank, diagonal = _exact_snf(leftover)
     return units + rank, (1,) * units + _divisibility_fix(diagonal)
 
@@ -232,19 +248,34 @@ class HomologyProfile:
 
 
 def reduced_homology(k: SimplicialComplex) -> HomologyProfile:
-    """Exact reduced integral homology of the augmented chain complex."""
+    """Exact reduced integral homology of the augmented chain complex.
+
+    The boundary operators are reduced from the top dimension down, and the
+    column of every d-face that was the row of a +-1 pivot of the boundary
+    d+1 is never built (clearing, after Chen and Kerber).  This is exact
+    over the integers: at its pivot each such column is a boundary that is
+    +-1 on its own row and 0 on the rows of the earlier pivots, so every
+    cleared face is an integer combination of kept faces plus a boundary,
+    and its column of the boundary d lies in the integer span of the kept
+    ones.  Rank and invariant factors are unchanged.  The non-unit pivots
+    of the exact phase clear nothing, as they give no such combination.
+    """
     top = k.dim
     f = {-1: 1}
     for d in range(top + 1):
         f[d] = len(k.faces(d))
     ranks = {d: 0 for d in range(-1, top + 3)}
     torsion: dict[int, tuple[int, ...]] = {}
-    for d in range(0, top + 1):
-        rank, factors = smith_normal_form(boundary_matrix(k, d))
+    cleared: set[int] = set()
+    for d in range(top, -1, -1):
+        unit_rows: list[int] = []
+        rank, factors = smith_normal_form(boundary_matrix(k, d, skip=cleared), unit_rows=unit_rows)
+        cleared = set(unit_rows)
         ranks[d] = rank
         nontrivial = tuple(x for x in factors if x > 1)
         if nontrivial:
             torsion[d - 1] = nontrivial
+    torsion = dict(sorted(torsion.items()))  # lowest dimension first, as reported
     betti = {}
     for d in range(-1, top + 1):
         b = f[d] - ranks[d] - ranks[d + 1]

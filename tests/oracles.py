@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 faces come from raw subset enumeration, ranks from Fraction elimination,
-Smith forms from a dense textbook reduction, isomorphism from explicit
+Smith forms from a dense textbook reduction, reduced homology from every
+boundary matrix reduced whole (no clearing), isomorphism from explicit
 bijection search, sphere counts from the edge-by-edge recursion on whole
 forests, canonical codes from the recursive center-rooted encoding, caterpillar
 sphere counts from the sum over every spine-edge subset, and Euler
@@ -18,6 +19,7 @@ from math import comb, gcd
 
 from bdcomplex.errors import NotAForestError
 from bdcomplex.graph import CaterpillarSpec, Graph, canonical_code, components, is_forest, validate_bounds
+from bdcomplex.homology import HomologyProfile, boundary_matrix, smith_normal_form
 from bdcomplex.recursion import (
     counts_add,
     counts_shift,
@@ -181,6 +183,32 @@ def naive_snf(dense) -> tuple[int, tuple[int, ...]]:
                     changed = True
     factors.sort()
     return len(factors), tuple(factors)
+
+
+def reference_reduced_homology(k) -> HomologyProfile:
+    """Reduced integral homology with each boundary matrix reduced whole.
+
+    One `smith_normal_form` per dimension, bottom up, and no column is
+    cleared: the reference for the clearing in `reduced_homology`.
+    """
+    top = k.dim
+    f = {-1: 1}
+    for d in range(top + 1):
+        f[d] = len(k.faces(d))
+    ranks = {d: 0 for d in range(-1, top + 3)}
+    torsion: dict[int, tuple[int, ...]] = {}
+    for d in range(0, top + 1):
+        rank, factors = smith_normal_form(boundary_matrix(k, d))
+        ranks[d] = rank
+        nontrivial = tuple(x for x in factors if x > 1)
+        if nontrivial:
+            torsion[d - 1] = nontrivial
+    betti = {}
+    for d in range(-1, top + 1):
+        b = f[d] - ranks[d] - ranks[d + 1]
+        if b:
+            betti[d] = b
+    return HomologyProfile(betti, torsion)
 
 
 def pick_recursion_edge(graph: Graph):

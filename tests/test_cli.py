@@ -6,6 +6,7 @@ import pytest
 
 from bdcomplex import cli
 from bdcomplex.cli import main
+from bdcomplex.harness import POOL_READ_AHEAD
 
 
 def run(capsys, argv):
@@ -286,7 +287,8 @@ class TestBatch:
             assert objs[1]["error"]["type"] == "UnicodeDecodeError" and objs[1]["line"] == 2
             assert objs[0]["method"] == "recursion" and objs[2]["method"] == "cycle-reduce"
 
-    def test_each_line_is_written_before_the_next_is_read(self, capsys, monkeypatch):
+    def traced_batch(self, capsys, monkeypatch, lines, argv):
+        """Run `batch` on stdin, logging each line read and each result written."""
         events = []
 
         class Lines(io.BytesIO):
@@ -302,11 +304,32 @@ class TestBatch:
             real_emit(obj, output)
 
         monkeypatch.setattr(cli, "_emit", emit)
-        data = ("\n".join(self.lines()) + "\n").encode()
+        data = ("\n".join(lines) + "\n").encode()
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(Lines(data)))
-        code, out, _ = run(capsys, ["batch"])
+        code, out, _ = run(capsys, argv)
+        return code, out, events
+
+    def test_each_line_is_written_before_the_next_is_read(self, capsys, monkeypatch):
+        code, out, events = self.traced_batch(capsys, monkeypatch, self.lines(), ["batch"])
         assert code == 0 and len(out.splitlines()) == 3
         assert events == ["read", "write"] * 3
+
+    def test_two_jobs_read_a_bounded_number_of_lines_ahead(self, capsys, monkeypatch):
+        lines = self.lines() * 20
+        code, out, events = self.traced_batch(capsys, monkeypatch, lines, ["batch", "--jobs", "2"])
+        assert code == 0
+        # the batch pool takes one line per task from two workers
+        ahead = POOL_READ_AHEAD * 2
+        reads = writes = 0
+        for event in events:
+            if event == "read":
+                reads += 1
+                assert reads <= writes + ahead, events
+            else:
+                writes += 1
+        assert reads == writes == len(lines)
+        _, serial, _ = self.traced_batch(capsys, monkeypatch, lines, ["batch"])
+        assert out == serial
 
 
 class TestVerifyCommand:

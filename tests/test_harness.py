@@ -1,7 +1,11 @@
 """The sweep pipeline: pool_map, and sweeps that must report what goes wrong."""
 
+import threading
+import time
+
 from bdcomplex import harness
 from bdcomplex.harness import (
+    POOL_READ_AHEAD,
     pool_map,
     sweep_caterpillars,
     sweep_cycles,
@@ -27,6 +31,32 @@ class TestPoolMap:
     def test_no_tasks(self):
         assert list(pool_map(_square, [], 1)) == []
         assert list(pool_map(_square, [], 2)) == []
+
+    def test_caller_stopping_early_ends_the_pool(self):
+        read = []
+
+        def tasks():
+            for x in range(10_000):
+                read.append(x)
+                yield x
+
+        ahead = POOL_READ_AHEAD * 2 * 3
+        taken = []
+
+        def take_three_and_stop():
+            results = pool_map(_square, tasks(), 2, chunksize=3)
+            taken.extend(next(results) for _ in range(3))
+            deadline = time.monotonic() + 30
+            while len(read) < 3 + ahead and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.2)  # the pool's task thread now waits for a permit
+            results.close()
+
+        worker = threading.Thread(target=take_three_and_stop, daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert taken == [0, 1, 4] and len(read) == 3 + ahead
 
 
 class TestSweepFailures:

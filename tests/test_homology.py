@@ -7,6 +7,7 @@ import textwrap
 
 import pytest
 import bdcomplex
+from bdcomplex import homology
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +28,7 @@ from bdcomplex.homology import (
     wedge_profile,
 )
 
-from oracles import betti_via_fraction_rank, naive_snf
+from oracles import betti_via_fraction_rank, naive_snf, reference_reduced_homology
 
 # six-vertex triangulation of the real projective plane: the canonical
 # torsion example (homology Z/2 in dimension 1)
@@ -230,6 +231,53 @@ class TestReducedHomology:
             assert euler == total
 
 
+def caterpillar_3333():
+    return build_complex(*gen_caterpillar(CaterpillarSpec((3,) * 4, (2,) * 4)))
+
+
+class TestClearing:
+    CASES = {
+        "K7-matching": lambda: build_complex(
+            make_graph(7, list(itertools.combinations(range(7), 2))), (1,) * 7
+        ),
+        "RP2": lambda: SimplicialComplex.from_maximal_faces(6, RP2_FACETS),
+        "caterpillar-m3333": caterpillar_3333,
+        "C14-ones": lambda: build_complex(gen_cycle(14), (1,) * 14),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_uncleared_reference(self, name):
+        k = self.CASES[name]()
+        assert reduced_homology(k) == reference_reduced_homology(k)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_matches_uncleared_reference_on_random_complexes(self, data):
+        n = data.draw(st.integers(1, 8))
+        facets = data.draw(
+            st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=5), max_size=10)
+        )
+        k = SimplicialComplex.from_maximal_faces(n, facets)
+        h = reduced_homology(k)
+        assert h == reference_reduced_homology(k)
+        assert list(h.torsion) == sorted(h.torsion)
+
+    def test_cleared_columns_are_not_built(self, monkeypatch):
+        k = caterpillar_3333()
+        real = homology.boundary_matrix
+        built = []
+
+        def recording(k, d, **kwargs):
+            built.append(real(k, d, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(homology, "boundary_matrix", recording)
+        reduced_homology(k)
+        assert len(built) == k.dim + 1
+        full = sum(real(k, d).nnz for d in range(k.dim + 1))
+        assert sum(m.nnz for m in built) < 0.6 * full
+
+
 class TestWedgeProfile:
     def test_circle_profile(self):
         g, b = gen_caterpillar(CaterpillarSpec((2, 1), (2, 1)))
@@ -254,6 +302,15 @@ class TestExactFallback:
     def test_no_unit_entries(self):
         m = IntegerMatrix.from_dense([[2, 4], [6, 10]])
         assert smith_normal_form(m) == naive_snf([[2, 4], [6, 10]])
+
+    def test_doubled_boundary_matrix(self):
+        # no unit entries, so all 8,262 nonzeros go to the exact phase
+        m = boundary_matrix(caterpillar_3333(), 5)
+        assert (m.rows, m.cols, m.nnz) == (1611, 1377, 8262)
+        doubled = IntegerMatrix(m.rows, m.cols, {ij: 2 * v for ij, v in m.entries.items()})
+        rank, factors = smith_normal_form(m)
+        assert rank == 878
+        assert smith_normal_form(doubled) == (878, tuple(2 * x for x in factors))
 
 
 class TestMemoryBound:

@@ -217,6 +217,16 @@ class TestSphereCounts:
         b = tuple(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
         assert sphere_counts(g, b) == reference_sphere_counts(g, b)
 
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_matches_homology_on_random_forests(self, data):
+        n = data.draw(st.integers(1, 10))
+        parents = [data.draw(st.integers(0, i - 1)) for i in range(1, n)]
+        kept = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+        g = Graph(n, tuple((p, i) for i, (p, keep) in enumerate(zip(parents, kept), start=1) if keep))
+        b = tuple(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+        assert sphere_counts(g, b) == wedge_profile(reduced_homology(build_complex(g, b)))
+
     def test_union_counts_convolve(self):
         rng = random.Random(31)
         for _ in range(30):

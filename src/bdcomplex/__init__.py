@@ -8,12 +8,8 @@ from .caterpillar import (
 )
 from .complexes import (
     DEFAULT_FACE_CAP,
-    GrapeWitness,
     SimplicialComplex,
     build_complex,
-    deletion,
-    grape_witness,
-    link,
     reduced_euler,
 )
 from .graph import (
@@ -46,7 +42,6 @@ from .recursion import (
     counts_add,
     counts_normalize,
     counts_shift,
-    decrement_bounds,
     join_convolve,
     simplify,
     sphere_counts,

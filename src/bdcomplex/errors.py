@@ -29,18 +29,6 @@ class FaceCapExceededError(BoundedDegreeError, RuntimeError):
     """Face enumeration would exceed the configured face cap."""
 
 
-class NotAVertexError(BoundedDegreeError, ValueError):
-    """A ground-set element that is not a vertex of the complex was used as one."""
-
-
-class DepthCapExceededError(BoundedDegreeError, RuntimeError):
-    """The decomposition witness search hit its recursion depth cap."""
-
-
-class WouldGoNegativeError(BoundedDegreeError, ValueError):
-    """Decrementing degree bounds would push an endpoint below zero."""
-
-
 class InvalidStarError(BoundedDegreeError, ValueError):
     """A star profile was requested for a star with no edges."""
 

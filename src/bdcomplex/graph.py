@@ -63,10 +63,6 @@ class Graph:
             adj[v].append(u)
         return adj
 
-    def remove_edge(self, index: int) -> "Graph":
-        """Same vertex set with edge `index` dropped; later edges shift down."""
-        return Graph(self.num_vertices, self.edges[:index] + self.edges[index + 1 :])
-
 
 def make_graph(num_vertices: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Validate and build a simple graph from vertex-index pairs."""
@@ -305,12 +301,12 @@ def nonisomorphic_trees(num_vertices: int) -> list[Graph]:
     return trees
 
 
-def nonisomorphic_forests(max_edges: int, include_empty: bool = True) -> list[Graph]:
+def nonisomorphic_forests(max_edges: int) -> list[Graph]:
     """All forests without isolated vertices and at most `max_edges` edges.
 
     One representative per isomorphism class, built as multisets of trees
     with at least one edge each.  The edgeless forest (no vertices at all)
-    is included by default.
+    comes first.
     """
     trees_by_edges: dict[int, list[Graph]] = {
         e: nonisomorphic_trees(e + 1) for e in range(1, max_edges + 1)
@@ -320,9 +316,7 @@ def nonisomorphic_forests(max_edges: int, include_empty: bool = True) -> list[Gr
         for t in trees_by_edges[e]:
             pool.append((e, t))
 
-    out: list[Graph] = []
-    if include_empty:
-        out.append(Graph(0, ()))
+    out: list[Graph] = [Graph(0, ())]
 
     def extend(start: int, budget: int, acc: Graph):
         for i in range(start, len(pool)):
@@ -359,14 +353,14 @@ def random_tree(rng, num_vertices: int) -> Graph:
     return Graph(n, tuple(edges))
 
 
-def random_forest(rng, max_vertices: int, keep_probability: float = 0.7) -> Graph:
-    """Random forest: a random tree with each edge kept independently.
+def random_forest(rng, max_vertices: int) -> Graph:
+    """Random forest: a random tree with each edge kept with probability 0.7.
 
     Vertices that end up isolated are removed so the result has no padding.
     """
     n = rng.randint(1, max_vertices)
     tree = random_tree(rng, n)
-    edges = tuple(e for e in tree.edges if rng.random() < keep_probability)
+    edges = tuple(e for e in tree.edges if rng.random() < 0.7)
     used = sorted({v for e in edges for v in e})
     index = {v: i for i, v in enumerate(used)}
     return Graph(len(used), tuple((index[u], index[v]) for u, v in edges))

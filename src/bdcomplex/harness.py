@@ -19,6 +19,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from multiprocessing import Pool
 from typing import Optional, Sequence
 
@@ -46,18 +47,35 @@ METHODS = ("auto", "recursion", "closed-form", "homology")
 
 @dataclass(frozen=True)
 class Instance:
-    """A parsed problem instance: a graph, its bounds, and its source form."""
+    """A parsed problem instance: its source form, a graph and its bounds.
 
-    graph: Graph
-    bounds: DegreeBounds
+    A caterpillar shorthand holds only its spec until a route first reads
+    `graph` or `bounds`; the closed form never does.
+    """
+
     source: dict
     cat_spec: Optional[CaterpillarSpec] = None
+    given: Optional[tuple[Graph, DegreeBounds]] = None
+
+    @cached_property
+    def _graph_bounds(self) -> tuple[Graph, DegreeBounds]:
+        return self.given if self.given is not None else gen_caterpillar(self.cat_spec)
+
+    @property
+    def graph(self) -> Graph:
+        return self._graph_bounds[0]
+
+    @property
+    def bounds(self) -> DegreeBounds:
+        return self._graph_bounds[1]
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _require_int_list(obj, what: str) -> list[int]:
-    if not isinstance(obj, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in obj
-    ):
+    if not isinstance(obj, list) or not all(map(_is_int, obj)):
         raise ParseError(f"{what} must be a list of integers")
     return obj
 
@@ -79,13 +97,12 @@ def parse_instance(obj) -> Instance:
         lam = _require_int_list(body.get("lambda"), "caterpillar lambda")
         try:
             spec = CaterpillarSpec(tuple(m), tuple(lam))
-            graph, bounds = gen_caterpillar(spec)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
-        return Instance(graph, bounds, obj, cat_spec=spec)
+        return Instance(obj, cat_spec=spec)
     if "cycle" in obj:
         body = obj["cycle"]
-        if not isinstance(body, dict) or not isinstance(body.get("n"), int):
+        if not isinstance(body, dict) or not _is_int(body.get("n")):
             raise ParseError("cycle shorthand needs an integer n")
         n = body["n"]
         lam = _require_int_list(body.get("lambda"), "cycle lambda")
@@ -94,22 +111,22 @@ def parse_instance(obj) -> Instance:
             bounds = validate_bounds(graph, lam)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
-        return Instance(graph, bounds, obj)
+        return Instance(obj, given=(graph, bounds))
     if "n" in obj and "edges" in obj:
-        if not isinstance(obj["n"], int):
+        if not _is_int(obj["n"]):
             raise ParseError("n must be an integer")
         edges = obj["edges"]
         if not isinstance(edges, list) or not all(
-            isinstance(e, list) and len(e) == 2 for e in edges
+            isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges
         ):
-            raise ParseError("edges must be a list of [u, v] pairs")
+            raise ParseError("edges must be a list of [u, v] integer pairs")
         lam = _require_int_list(obj.get("lambda"), "lambda")
         try:
             graph = make_graph(obj["n"], edges)
             bounds = validate_bounds(graph, lam)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
-        return Instance(graph, bounds, obj)
+        return Instance(obj, given=(graph, bounds))
     raise ParseError("instance matches no known schema")
 
 
@@ -518,9 +535,10 @@ def _cycle_worker(task):
     cyc = build_complex(Graph(n, edges), bounds, face_cap)
     pk = build_complex(path, path_bounds, face_cap)
     faults = []
-    if any(edge_map[i] is None for face in cyc.face_set for i in face):
+    cyc_faces = cyc.face_set
+    if any(edge_map[i] is None for face in cyc_faces for i in face):
         faults.append("killed edge in face")
-    elif {tuple(sorted(edge_map[i] for i in face)) for face in cyc.face_set} != pk.face_set:
+    elif {tuple(sorted(edge_map[i] for i in face)) for face in cyc_faces} != pk.face_set:
         faults.append("face sets differ")
     cyc_h = reduced_homology(cyc)
     if cyc_h != reduced_homology(pk):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Collection, Optional, Sequence
+from typing import Collection, Optional
 
 from .complexes import SimplicialComplex
 
@@ -37,24 +37,6 @@ class IntegerMatrix:
                 "entries",
                 {k: v for k, v in self.entries.items() if v != 0},
             )
-
-    @classmethod
-    def from_dense(cls, dense: Sequence[Sequence[int]]) -> "IntegerMatrix":
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        entries = {
-            (i, j): int(v)
-            for i, row in enumerate(dense)
-            for j, v in enumerate(row)
-            if v != 0
-        }
-        return cls(rows, cols, entries)
-
-    def to_dense(self) -> list[list[int]]:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
 
     @property
     def nnz(self) -> int:

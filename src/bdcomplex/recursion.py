@@ -34,7 +34,7 @@ from __future__ import annotations
 from math import comb
 from typing import Optional, Sequence
 
-from .errors import NotAForestError, WouldGoNegativeError
+from .errors import NotAForestError
 from .graph import DegreeBounds, Graph, is_forest, validate_bounds
 
 SphereCounts = dict[int, int]
@@ -69,17 +69,6 @@ def join_convolve(a: SphereCounts, b: SphereCounts) -> SphereCounts:
             d = p + q + 1
             out[d] = out.get(d, 0) + cp * cq
     return counts_normalize(out)
-
-
-def decrement_bounds(bounds: Sequence[int], edge: tuple[int, int]) -> DegreeBounds:
-    """Lower both endpoint bounds of `edge` by one."""
-    u, v = edge
-    if bounds[u] < 1 or bounds[v] < 1:
-        raise WouldGoNegativeError(f"cannot decrement zero bound on edge ({u},{v})")
-    out = list(bounds)
-    out[u] -= 1
-    out[v] -= 1
-    return tuple(out)
 
 
 def simplify(graph: Graph, bounds: Sequence[int]) -> tuple[Graph, DegreeBounds]:

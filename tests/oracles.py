@@ -1,4 +1,4 @@
-"""Independent brute-force oracles used only by the tests.
+"""Independent brute-force oracles and complex tooling used only by the tests.
 
 Everything here deliberately avoids the code paths it is used to check:
 faces come from raw subset enumeration, ranks from Fraction elimination,
@@ -8,25 +8,255 @@ bijection search, sphere counts from the edge-by-edge recursion on whole
 forests, canonical codes from the recursive center-rooted encoding, caterpillar
 sphere counts from the sum over every spine-edge subset, and Euler
 characteristics from a signed count of faces.
+
+The complex tooling (a validating face-list builder, link, deletion and the
+grape decomposition witness, among others) works on the package's
+`SimplicialComplex` record but is needed by no route of the package.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
+from typing import Iterable, Optional, Sequence
 
-from bdcomplex.errors import NotAForestError
-from bdcomplex.graph import CaterpillarSpec, Graph, canonical_code, components, is_forest, validate_bounds
-from bdcomplex.homology import HomologyProfile, boundary_matrix, smith_normal_form
-from bdcomplex.recursion import (
-    counts_add,
-    counts_shift,
-    decrement_bounds,
-    join_convolve,
-    simplify,
+from bdcomplex.complexes import Face, SimplicialComplex
+from bdcomplex.errors import BoundedDegreeError, NotAForestError
+from bdcomplex.graph import (
+    CaterpillarSpec,
+    DegreeBounds,
+    Graph,
+    canonical_code,
+    components,
+    is_forest,
+    validate_bounds,
 )
+from bdcomplex.homology import HomologyProfile, IntegerMatrix, boundary_matrix, smith_normal_form
+from bdcomplex.recursion import counts_add, counts_shift, join_convolve, simplify
+
+
+class NotAVertexError(BoundedDegreeError, ValueError):
+    """A ground-set element that is not a vertex of the complex was used as one."""
+
+
+class DepthCapExceededError(BoundedDegreeError, RuntimeError):
+    """The decomposition witness search hit its recursion depth cap."""
+
+
+class WouldGoNegativeError(BoundedDegreeError, ValueError):
+    """Decrementing degree bounds would push an endpoint below zero."""
+
+
+# ---------------------------------------------------------------------------
+# complexes: construction from face lists, inspection, link and deletion
+# ---------------------------------------------------------------------------
+
+
+def _layered(ground_set: int, faces: Iterable[Sequence[int]]) -> SimplicialComplex:
+    """Sort each face, drop repeats and the empty face, and sort each layer."""
+    by_dim: dict[int, set[Face]] = {}
+    for face in faces:
+        t = tuple(sorted(face))
+        if t:
+            by_dim.setdefault(len(t) - 1, set()).add(t)
+    dims = max(by_dim) + 1 if by_dim else 0
+    return SimplicialComplex(
+        ground_set, tuple(tuple(sorted(by_dim.get(d, ()))) for d in range(dims))
+    )
+
+
+def complex_from_faces(ground_set: int, faces: Iterable[Sequence[int]]) -> SimplicialComplex:
+    """The complex with exactly these faces, in any order; ValueError unless valid.
+
+    Valid means: no repeated vertex in a face, every vertex inside the
+    ground set, and the faces closed under taking subsets.
+    """
+    k = _layered(ground_set, faces)
+    face_set = k.face_set
+    for face in face_set:
+        if len(set(face)) != len(face):
+            raise ValueError(f"repeated vertex in face {face}")
+        if not (0 <= face[0] and face[-1] < ground_set):
+            raise ValueError(f"face {face} outside ground set")
+        if len(face) > 1:
+            for i in range(len(face)):
+                sub = face[:i] + face[i + 1 :]
+                if sub not in face_set:
+                    raise ValueError(
+                        f"complex not downward closed: {face} present, {sub} missing"
+                    )
+    return k
+
+
+def from_maximal_faces(ground_set: int, facets: Iterable[Sequence[int]]) -> SimplicialComplex:
+    """Build the downward closure of the given facets."""
+    faces: set[Face] = set()
+    for facet in facets:
+        t = tuple(sorted(facet))
+        for size in range(1, len(t) + 1):
+            faces.update(itertools.combinations(t, size))
+    return _layered(ground_set, faces)
+
+
+def f_vector(k: SimplicialComplex) -> tuple[int, ...]:
+    return tuple(len(layer) for layer in k.faces_by_dim)
+
+
+def has_face(k: SimplicialComplex, face: Sequence[int]) -> bool:
+    """Membership by binary search in the face's (sorted) layer."""
+    t = tuple(sorted(face))
+    if not t:
+        return True
+    layer = k.faces(len(t) - 1)
+    i = bisect_left(layer, t)
+    return i < len(layer) and layer[i] == t
+
+
+def vertices(k: SimplicialComplex) -> tuple[int, ...]:
+    return tuple(f[0] for f in k.faces(0))
+
+
+def maximal_faces(k: SimplicialComplex) -> tuple[Face, ...]:
+    out = []
+    for d in range(k.dim, -1, -1):
+        for face in k.faces(d):
+            fs = set(face)
+            if not any(fs < set(g) for g in out):
+                out.append(face)
+    return tuple(sorted(out, key=lambda f: (len(f), f)))
+
+
+def dump(k: SimplicialComplex) -> str:
+    """One face per line, indices comma-separated, `-` for the empty face."""
+    lines = ["-"]
+    for layer in k.faces_by_dim:
+        lines.extend(",".join(str(i) for i in face) for face in layer)
+    return "\n".join(lines)
+
+
+def link(k: SimplicialComplex, v: int) -> SimplicialComplex:
+    """Faces disjoint from vertex v whose union with v lies in the complex."""
+    if not has_face(k, (v,)) or not (0 <= v < k.ground_set):
+        raise NotAVertexError(f"{v} is not a vertex of the complex")
+    return _layered(
+        k.ground_set,
+        (tuple(x for x in face if x != v) for layer in k.faces_by_dim for face in layer if v in face),
+    )
+
+
+def deletion(k: SimplicialComplex, v: int) -> SimplicialComplex:
+    """Faces that do not contain v."""
+    return _layered(
+        k.ground_set, (face for layer in k.faces_by_dim for face in layer if v not in face)
+    )
+
+
+DEFAULT_DEPTH_CAP = 64
+
+
+@dataclass(frozen=True)
+class GrapeWitness:
+    """Certificate that a complex decomposes like a bunch of grapes.
+
+    Either the complex has at most one vertex (both sub-witnesses are None),
+    or `vertex` is a complex vertex and `apex` certifies that the link of
+    `vertex` sits inside a cone with apex `apex` inside the face-deletion of
+    `vertex`, with both parts recursively witnessed.
+    """
+
+    vertex: Optional[int]
+    apex: Optional[int]
+    link_witness: Optional["GrapeWitness"]
+    deletion_witness: Optional["GrapeWitness"]
+
+    @classmethod
+    def leaf(cls) -> "GrapeWitness":
+        return cls(None, None, None, None)
+
+
+def grape_witness(
+    k: SimplicialComplex, depth_cap: int = DEFAULT_DEPTH_CAP
+) -> Optional[GrapeWitness]:
+    """Search for a grape decomposition witness.
+
+    Vertices and apexes are tried in index order and the first fully
+    verified decomposition wins, so the result is deterministic.  Returns
+    None when the bounded search finds no witness; that is not a proof that
+    the complex is not a grape.  Raises DepthCapExceededError if recursion
+    exceeds `depth_cap`.
+    """
+    if depth_cap < 0:
+        raise DepthCapExceededError("grape witness search exceeded depth cap")
+    verts = vertices(k)
+    if len(verts) <= 1:
+        return GrapeWitness.leaf()
+    for a in verts:
+        lk = link(k, a)
+        dl = deletion(k, a)
+        for b in vertices(dl):
+            if b == a:
+                continue
+            if all(
+                has_face(dl, tuple(sorted(set(face) | {b})))
+                for layer in lk.faces_by_dim
+                for face in layer
+            ):
+                lw = grape_witness(lk, depth_cap - 1)
+                if lw is None:
+                    continue
+                dw = grape_witness(dl, depth_cap - 1)
+                if dw is None:
+                    continue
+                return GrapeWitness(a, b, lw, dw)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# dense matrices, graph edits and bound edits
+# ---------------------------------------------------------------------------
+
+
+def matrix_from_dense(dense: Sequence[Sequence[int]]) -> IntegerMatrix:
+    rows = len(dense)
+    cols = len(dense[0]) if rows else 0
+    entries = {
+        (i, j): int(v)
+        for i, row in enumerate(dense)
+        for j, v in enumerate(row)
+        if v != 0
+    }
+    return IntegerMatrix(rows, cols, entries)
+
+
+def matrix_to_dense(m: IntegerMatrix) -> list[list[int]]:
+    out = [[0] * m.cols for _ in range(m.rows)]
+    for (i, j), v in m.entries.items():
+        out[i][j] = v
+    return out
+
+
+def remove_edge(graph: Graph, index: int) -> Graph:
+    """Same vertex set with edge `index` dropped; later edges shift down."""
+    return Graph(graph.num_vertices, graph.edges[:index] + graph.edges[index + 1 :])
+
+
+def decrement_bounds(bounds: Sequence[int], edge: tuple[int, int]) -> DegreeBounds:
+    """Lower both endpoint bounds of `edge` by one."""
+    u, v = edge
+    if bounds[u] < 1 or bounds[v] < 1:
+        raise WouldGoNegativeError(f"cannot decrement zero bound on edge ({u},{v})")
+    out = list(bounds)
+    out[u] -= 1
+    out[v] -= 1
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracles
+# ---------------------------------------------------------------------------
 
 
 def brute_force_faces(graph: Graph, bounds) -> set[tuple[int, ...]]:
@@ -266,7 +496,7 @@ def _reference_counts(graph, bounds, cache, pick):
         if e is None:
             raise RuntimeError("no recursion edge on a component with >= 2 edges")
         endpoints = graph.edges[e]
-        rest = graph.remove_edge(e)
+        rest = remove_edge(graph, e)
         kept = _reference_counts(rest, bounds, cache, pick)
         used = _reference_counts(rest, decrement_bounds(bounds, endpoints), cache, pick)
         result = counts_add(kept, counts_shift(used, 1))

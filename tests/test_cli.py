@@ -1,9 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from math import comb
 from pathlib import Path
 
 import pytest
 
+import bdcomplex
 from bdcomplex import cli
 from bdcomplex.cli import main
 from bdcomplex.harness import POOL_READ_AHEAD
@@ -22,6 +28,14 @@ def write_instance(tmp_path, obj, name="instance.json"):
 
 
 TWO_SPINE = {"caterpillar": {"m": [2, 1], "lambda": [2, 1]}}
+
+# graph-form instances whose n or endpoints are not integers, or are booleans
+NON_INTEGER_GRAPHS = [
+    {"n": 2, "edges": [[0, "a"]], "lambda": [1, 1]},
+    {"n": 2, "edges": [[0, 1.0]], "lambda": [1, 1]},
+    {"n": 2, "edges": [[0, True]], "lambda": [1, 1]},
+    {"n": True, "edges": [], "lambda": [1]},
+]
 
 
 class TestGenerate:
@@ -167,6 +181,54 @@ class TestCompute:
         assert code == 1
         assert json.loads(out)["error"]["type"] == "ParseError"
 
+    @pytest.mark.parametrize("obj", NON_INTEGER_GRAPHS)
+    def test_non_integer_graph_is_a_parse_error(self, capsys, tmp_path, obj):
+        code, out, err = run(capsys, ["compute", write_instance(tmp_path, obj)])
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "ParseError"
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("method", ["recursion", "homology"])
+    def test_caterpillar_shorthand_equals_its_graph(self, capsys, tmp_path, method):
+        shorthand = {"caterpillar": {"m": [2, 0, 3], "lambda": [2, 1, 2]}}
+        graph = {
+            "n": 8,
+            "edges": [[0, 1], [1, 2], [0, 3], [0, 4], [2, 5], [2, 6], [2, 7]],
+            "lambda": [2, 1, 2, 1, 1, 1, 1, 1],
+        }
+        outs = []
+        for obj in (shorthand, graph):
+            code, out, _ = run(capsys, ["compute", write_instance(tmp_path, obj), "--method", method])
+            assert code == 0
+            outs.append({k: v for k, v in json.loads(out).items() if k != "instance"})
+        assert outs[0] == outs[1] and outs[0]["method"] == method
+
+    def test_huge_caterpillar_shorthand_under_512_mb(self):
+        # the closed form never reads the graph; building it for four million
+        # leaves would take far more than 512 MB
+        script = textwrap.dedent(
+            """
+            import resource, sys
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+            from bdcomplex.cli import main
+            sys.exit(main(["compute", "-"]))
+            """
+        )
+        src = os.path.dirname(os.path.dirname(bdcomplex.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            input='{"caterpillar":{"m":[4000000],"lambda":[2]}}',
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        obj = json.loads(proc.stdout)
+        assert obj["method"] == "closed-form"
+        assert obj["spheres"] == {"1": comb(3999999, 2)}
+
     def test_any_failure_is_an_error_object(self, capsys, tmp_path, monkeypatch):
         def deep(instance, *args):
             raise RecursionError("maximum recursion depth exceeded")
@@ -254,6 +316,18 @@ class TestBatch:
             "line": 2,
         }
         assert objs[0]["method"] == "recursion" and objs[2]["method"] == "cycle-reduce"
+
+    def test_non_integer_graphs_are_parse_errors(self, capsys, tmp_path):
+        lines = self.lines()[:1] + [json.dumps(obj) for obj in NON_INTEGER_GRAPHS]
+        path = tmp_path / "batch.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, ["batch", str(path)])
+        assert code == 1 and "Traceback" not in err
+        objs = [json.loads(line) for line in out.splitlines()]
+        assert objs[0]["method"] == "recursion"
+        assert [(o["error"]["type"], o["line"]) for o in objs[1:]] == [
+            ("ParseError", line) for line in range(2, 6)
+        ]
 
     def test_empty_file(self, capsys, tmp_path):
         path = tmp_path / "empty.jsonl"

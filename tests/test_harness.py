@@ -1,9 +1,12 @@
-"""The sweep pipeline: pool_map, and sweeps that must report what goes wrong."""
+"""The sweep pipeline: pool_map, sweeps that must report what goes wrong, and
+the package names that the benchmark's tracer binds."""
 
+import importlib.util
 import threading
 import time
+from pathlib import Path
 
-from bdcomplex import harness
+from bdcomplex import cli, harness
 from bdcomplex.harness import (
     POOL_READ_AHEAD,
     pool_map,
@@ -124,3 +127,42 @@ class TestSweepFailures:
         corrupted = self._corrupt_single_edges(monkeypatch)
         report = sweep_random_forests(30, 0, max_edges=1, max_bound=1)
         self._assert_reported(report, corrupted)
+
+
+class TestBenchmarkBindings:
+    """perfbench/spans.py rebinds package functions by name; they must exist."""
+
+    def test_traced_run_records_spans_and_counters(self):
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        rec = spans.Recorder()
+        original = harness.compute_instance
+        uninstall = spans.install(rec)
+        try:
+            forest = harness.parse_instance(
+                {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]], "lambda": [1, 1, 1, 1]}
+            )
+            assert harness.compute_instance(forest).spheres == {0: 1}
+            two_spine = harness.parse_instance({"caterpillar": {"m": [2, 1], "lambda": [2, 1]}})
+            res = harness.compute_instance(two_spine, method="homology")
+            assert res.homology.betti == {1: 1}
+            cli.result_json(two_spine, res)
+        finally:
+            uninstall()
+        assert harness.compute_instance is original
+        calls = {name: row["calls"] for name, row in rec.summary().items()}
+        for name in ("harness.parse_instance", "harness.compute_instance"):
+            assert calls[name] == 2, name
+        for name in (
+            "recursion.sphere_counts",
+            "complexes.build_complex",
+            "homology.reduced_homology",
+            "homology.boundary_matrix",
+            "homology.smith_normal_form",
+            "cli.result_json",
+        ):
+            assert calls[name] >= 1, name
+        assert rec.counters["faces"] == 10  # f-vector (4, 5, 1)
+        assert rec.counters["boundary_nnz"] > 0

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdcomplex.complexes import build_complex, reduced_euler
-from bdcomplex.errors import NotAForestError, WouldGoNegativeError
+from bdcomplex.errors import NotAForestError
 from bdcomplex.graph import (
     CaterpillarSpec,
     Graph,
@@ -22,13 +22,18 @@ from bdcomplex.homology import reduced_homology, wedge_profile
 from bdcomplex.recursion import (
     counts_add,
     counts_shift,
-    decrement_bounds,
     join_convolve,
     simplify,
     sphere_counts,
 )
 
-from oracles import pick_recursion_edge, reference_reduced_euler, reference_sphere_counts
+from oracles import (
+    WouldGoNegativeError,
+    decrement_bounds,
+    pick_recursion_edge,
+    reference_reduced_euler,
+    reference_sphere_counts,
+)
 
 
 class NoopCache:
@@ -240,7 +245,7 @@ class TestSphereCounts:
             )
 
     def test_matches_homology_on_small_forests(self):
-        for forest in nonisomorphic_forests(4, include_empty=False):
+        for forest in nonisomorphic_forests(4)[1:]:
             for b in itertools.product(range(3), repeat=forest.num_vertices):
                 counts = sphere_counts(forest, b)
                 k = build_complex(forest, b)
@@ -283,6 +288,29 @@ class TestDeepInputs:
         b = (0,) + (1,) * 3000
         # five detached 600-vertex paths, each Ind(P_599) = S^199, joined
         assert sphere_counts(g, b) == {999: 1}
+
+    @settings(max_examples=50, deadline=None, database=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_large_random_trees_match_euler(self, seed):
+        # A random core tree: core vertex i hangs off one of the `span` core
+        # vertices before it, so a path at span 1 and a random recursive tree
+        # once span >= n.  Then `leaves` leaves per core vertex, and shuffled
+        # labels.  Core bounds are 0..4 and leaf bounds 1..4: with random leaf
+        # bounds almost every such tree has a cone edge, and both sides read 0.
+        rng = random.Random(seed)
+        n = rng.randint(1000, 3000)
+        span = rng.choice((1, 3, 30, n))
+        leaves = rng.randint(0, 6)
+        core = n // (leaves + 1)
+        parent = [rng.randrange(max(0, i - span), i) for i in range(1, core)]
+        parent += [i % core for i in range(n - core)]
+        label = list(range(n))
+        rng.shuffle(label)
+        g = Graph(n, tuple((label[p], label[i]) for i, p in enumerate(parent, start=1)))
+        b = [0] * n
+        for i, v in enumerate(label):
+            b[v] = rng.randint(0, 4) if i < core else rng.randint(1, 4)
+        assert signed_sum(sphere_counts(g, b)) == reference_reduced_euler(g, b)
 
     def test_spider_matches_euler(self):
         g = self.spider(5, 600)

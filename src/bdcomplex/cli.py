@@ -16,8 +16,8 @@ from functools import partial
 from typing import Optional
 
 from .complexes import DEFAULT_FACE_CAP
-from .errors import BoundedDegreeError, InvalidParamsError, ParseError
-from .graph import CaterpillarSpec, gen_cycle, gen_path
+from .errors import BoundedDegreeError, InvalidParamsError, InvalidSizeError, ParseError
+from .graph import CaterpillarSpec, gen_path
 from .harness import (
     METHODS,
     ComputeResult,
@@ -174,16 +174,16 @@ def cmd_generate(args) -> int:
             obj = {"caterpillar": {"m": m, "lambda": lam}}
         elif args.family == "cycle":
             lam = _parse_int_list(args.bounds, "--lambda")
-            gen_cycle(args.n)
+            if args.n < 3:
+                raise InvalidSizeError("a cycle needs at least three vertices")
             if len(lam) != args.n:
                 raise InvalidParamsError("cycle needs n bounds")
             obj = {"cycle": {"n": args.n, "lambda": lam}}
         else:  # path
             lam = _parse_int_list(args.bounds, "--lambda")
-            graph = gen_path(args.n)
-            if len(lam) != args.n:
+            if args.n >= 1 and len(lam) != args.n:  # refused before the path is built
                 raise InvalidParamsError("path needs n bounds")
-            obj = instance_json(graph, lam)
+            obj = instance_json(gen_path(args.n), lam)
     except (BoundedDegreeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

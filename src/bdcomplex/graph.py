@@ -9,6 +9,7 @@ vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -216,6 +217,121 @@ def components(graph: Graph, bounds: Sequence[int]) -> list[GraphComponent]:
     return out
 
 
+@dataclass(frozen=True)
+class ForestPlan:
+    """The walks of a forest that do not depend on its bounds, built once.
+
+    `steps` is the post-order that `sphere_counts` folds: every vertex with
+    its parent, children before parents, and a root with parent -1 closing
+    its tree.  `trees` holds, per tree, the leaf-peeling sequence of
+    (vertex, parent) pairs and the one or two centers that `canonical_code`
+    builds its codes along; it is made on first use.  One plan serves every
+    bound vector of the forest.
+    """
+
+    graph: Graph
+    degrees: tuple[int, ...]
+    steps: tuple[Edge, ...]
+
+    @cached_property
+    def trees(self) -> tuple[tuple[tuple[Edge, ...], tuple[int, ...]], ...]:
+        adj = self.graph.adjacency()
+        out = []
+        tree: list[int] = []
+        for v, p in self.steps:
+            tree.append(v)
+            if p < 0:
+                out.append(_peel(tree, adj))
+                tree = []
+        return tuple(out)
+
+    def clamp(self, bounds: Sequence[int]) -> DegreeBounds:
+        """Each bound capped at its vertex degree; the complex is unchanged."""
+        return tuple(map(min, bounds, self.degrees))
+
+    def code(self, bounds: Sequence[int]) -> CanonicalKey:
+        """The canonical code of the forest under `bounds` (see canonical_code).
+
+        `bounds` must already be valid for the forest.
+        """
+        kids: list[list[bytes]] = [[] for _ in self.degrees]
+
+        def vertex_code(v: int) -> bytes:
+            below = kids[v]
+            if not below:
+                return b"(%d:)" % bounds[v]
+            below.sort()
+            return b"(%d:" % bounds[v] + b"".join(below) + b")"
+
+        trees = []
+        for peel, centers in self.trees:
+            for v, p in peel:
+                kids[p].append(vertex_code(v))
+            if len(centers) == 1:
+                trees.append(vertex_code(centers[0]))
+            else:
+                trees.append(b"=" + b"".join(sorted(map(vertex_code, centers))))
+        trees.sort()
+        return b"|".join(trees)
+
+
+def _peel(vertices: list[int], adj: list[list[int]]) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
+    """Leaf-peeling sequence and center(s) of one tree.
+
+    Leaves are peeled layer by layer; the last layer holds the one or two
+    centers.  A peeled vertex's one unpeeled neighbor is its parent.
+    """
+    deg = {v: len(adj[v]) for v in vertices}
+    layer = [v for v in vertices if deg[v] <= 1]
+    remaining = len(vertices)
+    peel = []
+    while remaining > 2:
+        nxt = []
+        for v in layer:
+            remaining -= 1
+            deg[v] = 0
+            for w in adj[v]:
+                if deg[w]:
+                    peel.append((v, w))
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        nxt.append(w)
+        layer = nxt
+    return tuple(peel), tuple(layer)
+
+
+def forest_plan(graph: Graph, not_forest: str = "expected a forest") -> ForestPlan:
+    """Build the plan of a forest; raises NotAForestError(not_forest) on a cycle.
+
+    Each tree is walked breadth-first from its smallest vertex; reversed,
+    that order puts children before parents.
+    """
+    n = graph.num_vertices
+    adj = graph.adjacency()
+    parent = [-1] * n
+    seen = [False] * n
+    orders = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order = [root]
+        for v in order:
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = v
+                    order.append(w)
+        orders.append(order)
+    if graph.num_edges != n - len(orders):
+        raise NotAForestError(not_forest)
+    return ForestPlan(
+        graph,
+        tuple(map(len, adj)),
+        tuple((v, parent[v]) for order in orders for v in reversed(order)),
+    )
+
+
 def canonical_code(graph: Graph, bounds: Sequence[int]) -> CanonicalKey:
     """Canonical byte code of a vertex-labeled forest.
 
@@ -226,57 +342,7 @@ def canonical_code(graph: Graph, bounds: Sequence[int]) -> CanonicalKey:
     Raises NotAForestError on cyclic input.
     """
     bounds = validate_bounds(graph, bounds)
-    if not is_forest(graph):
-        raise NotAForestError("canonical codes are defined for forests only")
-    adj = graph.adjacency()
-    deg = [len(a) for a in adj]
-
-    def tree_code(vertices: list[int]) -> bytes:
-        # Peel leaves layer by layer; the last layer holds the one or two
-        # centers.  A peeled vertex's one unpeeled neighbor is its parent, so
-        # codes are built bottom-up in peeling order, without recursion.
-        kids: dict[int, list[bytes]] = {}
-
-        def code(v: int) -> bytes:
-            return b"(%d:" % bounds[v] + b"".join(sorted(kids.pop(v, ()))) + b")"
-
-        layer = [v for v in vertices if deg[v] <= 1]
-        remaining = len(vertices)
-        while remaining > 2:
-            nxt = []
-            for v in layer:
-                remaining -= 1
-                deg[v] = 0
-                done = code(v)
-                for w in adj[v]:
-                    if deg[w]:
-                        kids.setdefault(w, []).append(done)
-                        deg[w] -= 1
-                        if deg[w] == 1:
-                            nxt.append(w)
-            layer = nxt
-        if len(layer) == 1:
-            return code(layer[0])
-        halves = sorted(code(c) for c in layer)
-        return b"=" + halves[0] + halves[1]
-
-    trees = []
-    seen = [False] * graph.num_vertices
-    for start in range(graph.num_vertices):
-        if seen[start]:
-            continue
-        stack, verts = [start], []
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            verts.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        trees.append(tree_code(verts))
-    trees.sort()
-    return b"|".join(trees)
+    return forest_plan(graph, "canonical codes are defined for forests only").code(bounds)
 
 
 def nonisomorphic_trees(num_vertices: int) -> list[Graph]:

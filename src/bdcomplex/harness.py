@@ -1,15 +1,20 @@
 """Instance model, method dispatch, and batch verification sweeps.
 
 Every sweep runs one pipeline (`_sweep`): it lists (graph, bounds, extra)
-instances, groups them into classes, runs a worker once per class (the
-homology oracle, through `pool_map`), and then checks every instance,
-duplicates included, against the result of its class.  Two instances whose
-(forest, bounds) pairs are isomorphic after clamping each bound at the
-vertex degree have equal complexes up to relabeling, so by default a class
-is a canonical code of the clamped bounds; the cheap routes (recursion,
-closed form) still run per instance.  The clamping and relabeling
-equivalences themselves are covered by dedicated tests and by seeded
-raw-instance spot checks in the forest sweep.
+instances and splits them into shards, one per isomorphism class of the
+bare graph: a forest of the forest sweep, a caterpillar together with its
+reversal, a single cycle instance.  Two instances whose (forest, bounds)
+pairs are isomorphic after clamping each bound at the vertex degree have
+equal complexes up to relabeling, so a class of such instances never spans
+two shards.  A pool task (`_shard_worker`, through `pool_map`) takes whole
+shards: it builds each graph's `ForestPlan` once, names every instance's
+class by the plan's canonical code of its clamped bounds, runs the sweep's
+worker (the homology oracle) once per class and the plan's forest
+recursion once per instance.  The parent then checks every instance,
+duplicates included, against the result of its class, in the order the
+instances were listed.  The clamping and relabeling equivalences themselves
+are covered by dedicated tests and by seeded raw-instance spot checks in
+the forest sweep.
 """
 
 from __future__ import annotations
@@ -19,8 +24,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
-from multiprocessing import Pool
+from functools import cached_property, partial
 from typing import Optional, Sequence
 
 from .caterpillar import caterpillar_closed_form, cycle_reduce
@@ -29,8 +33,10 @@ from .errors import MethodMismatchError, ParseError
 from .graph import (
     CaterpillarSpec,
     DegreeBounds,
+    ForestPlan,
     Graph,
     canonical_code,
+    forest_plan,
     gen_caterpillar,
     gen_cycle,
     is_forest,
@@ -40,7 +46,7 @@ from .graph import (
     validate_bounds,
 )
 from .homology import HomologyProfile, reduced_homology, wedge_profile
-from .recursion import SphereCounts, sphere_counts
+from .recursion import SphereCounts, plan_counts, sphere_counts
 
 METHODS = ("auto", "recursion", "closed-form", "homology")
 
@@ -106,6 +112,8 @@ def parse_instance(obj) -> Instance:
             raise ParseError("cycle shorthand needs an integer n")
         n = body["n"]
         lam = _require_int_list(body.get("lambda"), "cycle lambda")
+        if n >= 3 and len(lam) != n:  # refused before a cycle of n vertices is built
+            raise ParseError(f"expected {n} bounds, got {len(lam)}")
         try:
             graph = gen_cycle(n)
             bounds = validate_bounds(graph, lam)
@@ -289,23 +297,25 @@ def clamped_bound_grid(graph: Graph, max_bound: int):
     return itertools.product(*[range(min(max_bound, d) + 1) for d in graph.degrees()])
 
 
-# chunks per worker that pool_map may read ahead of the results taken
+# tasks per worker that pool_map may read ahead of the results taken
 POOL_READ_AHEAD = 4
 
 
-def pool_map(fn, tasks, jobs: int, chunksize: int = 1):
+def pool_map(fn, tasks, jobs: int):
     """Yield `fn` over `tasks` in task order, from a pool of `jobs` processes if jobs > 1.
 
-    `tasks` is read lazily: at jobs > 1 at most POOL_READ_AHEAD * jobs *
-    chunksize tasks are taken from it beyond the results yielded so far.
+    `tasks` is read lazily: at jobs > 1 at most POOL_READ_AHEAD * jobs
+    tasks are taken from it beyond the results yielded so far.
     """
     if jobs <= 1:
         yield from map(fn, tasks)
         return
+    from multiprocessing import Pool  # only here: keeps it out of every start-up
+
     # Pool.imap drains `tasks` from a thread of its own; the gate holds that
     # thread back, and `stop` lets it go when the caller stops early, since
     # the pool's exit waits for it.
-    gate = threading.Semaphore(POOL_READ_AHEAD * jobs * chunksize - 1)
+    gate = threading.Semaphore(POOL_READ_AHEAD * jobs - 1)
     stop = threading.Event()
 
     def admitted():
@@ -317,7 +327,7 @@ def pool_map(fn, tasks, jobs: int, chunksize: int = 1):
 
     with Pool(processes=jobs) as pool:
         try:
-            for result in pool.imap(fn, admitted(), chunksize=chunksize):
+            for result in pool.imap(fn, admitted()):
                 gate.release()
                 yield result
         finally:
@@ -325,40 +335,110 @@ def pool_map(fn, tasks, jobs: int, chunksize: int = 1):
             gate.release()
 
 
-def _class_key(graph: Graph, bounds: DegreeBounds) -> bytes:
-    return canonical_code(graph, clamp_bounds(graph, bounds))
+def _graph_shards():
+    """shard(graph, bounds) naming the isomorphism class of the bare graph.
+
+    The canonical code with all bounds 0 is computed once per distinct graph.
+    """
+    names: dict[Graph, bytes] = {}
+
+    def shard(graph: Graph, _bounds) -> bytes:
+        name = names.get(graph)
+        if name is None:
+            name = names[graph] = canonical_code(graph, (0,) * graph.num_vertices)
+        return name
+
+    return shard
+
+
+def _clamped_code(plan: ForestPlan, bounds: DegreeBounds) -> bytes:
+    return plan.code(plan.clamp(bounds))
+
+
+def _shard_worker(worker, key, counts: bool, face_cap: int, shards) -> list:
+    """(classes, per-member results) of each shard of (graph, bounds) members.
+
+    With `key`, each graph's plan is built once and names each member's
+    class by `key(plan, bounds)`; otherwise a whole shard is one class.
+    `worker` runs once per class, on its first member as
+    (graph, bounds, face_cap).  A member's result is its class's, paired
+    with its own `plan_counts` when `counts` is set.
+    """
+    plans: dict = {}
+    done = []
+    for members in shards:
+        classes: dict = {}
+        out = []
+        for graph, bounds in members:
+            plan = None
+            if key is not None or counts:
+                plan = plans.get(graph)
+                if plan is None:
+                    plan = plans[graph] = forest_plan(graph)
+            name = key(plan, bounds) if key is not None else None
+            if name not in classes:
+                classes[name] = worker((graph, bounds, face_cap))
+            result = classes[name]
+            out.append((result, plan_counts(plan, bounds)) if counts else result)
+        done.append((len(classes), out))
+    return done
+
+
+# pool tasks per worker: consecutive shards are packed into tasks of about
+# equal size, so that no worker is left with a long tail
+TASKS_PER_JOB = 16
 
 
 def _sweep(
-    report: VerifyReport, instances, worker, check, jobs: int, face_cap: int, key=_class_key
+    report: VerifyReport,
+    instances,
+    worker,
+    check,
+    jobs: int,
+    face_cap: int,
+    *,
+    shard,
+    key=_clamped_code,
+    counts: bool = True,
 ) -> VerifyReport:
-    """Run `worker` once per class of `instances`, then `check` every instance.
+    """Run `_shard_worker` on every shard of `instances`, then `check` every instance.
 
-    `instances` yields (graph, bounds, extra) triples and `key(graph, bounds)`
-    names an instance's class.  The first instance of a class is its
-    representative: `worker` gets (num_vertices, edges, bounds, face_cap) for
-    it, and `check(report, graph, bounds, extra, result)` runs on every
-    instance, representatives and duplicates alike, with its class's result.
+    `instances` yields (graph, bounds, extra) triples and `shard(graph,
+    bounds)` names an instance's shard.  A shard holds whole classes: every
+    instance isomorphic to one of its members is in it.  The parent then
+    runs `check(report, graph, bounds, extra, result)` on every instance,
+    representatives and duplicates alike, in the order `instances` gave.
     """
     instances = list(instances)
-    class_of: dict = {}
-    tasks = []
-    index = []
+    shard_of: dict = {}
+    shards: list[list] = []
+    where = []
     for graph, bounds, _ in instances:
-        i = class_of.setdefault(key(graph, bounds), len(class_of))
-        if i == len(tasks):
-            tasks.append((graph.num_vertices, graph.edges, bounds, face_cap))
-        index.append(i)
-    report.classes = len(tasks)
-    results = list(pool_map(worker, tasks, jobs, max(1, len(tasks) // (jobs * 8))))
-    for (graph, bounds, extra), i in zip(instances, index):
-        check(report, graph, bounds, extra, results[i])
+        s = shard_of.setdefault(shard(graph, bounds), len(shard_of))
+        if s == len(shards):
+            shards.append([])
+        where.append((s, len(shards[s])))
+        shards[s].append((graph, bounds))
+    size = max(1, len(instances) // (jobs * TASKS_PER_JOB))
+    tasks: list[list] = []
+    filled = size
+    for members in shards:
+        if filled >= size:
+            tasks.append([])
+            filled = 0
+        tasks[-1].append(members)
+        filled += len(members)
+    run = partial(_shard_worker, worker, key, counts, face_cap)
+    done = [result for results in pool_map(run, tasks, jobs) for result in results]
+    report.classes = sum(classes for classes, _ in done)
+    for (graph, bounds, extra), (s, i) in zip(instances, where):
+        check(report, graph, bounds, extra, done[s][1][i])
     return report.finish()
 
 
 def _oracle_worker(task) -> ClassOracle:
-    (num_vertices, edges, bounds, face_cap) = task
-    k = build_complex(Graph(num_vertices, edges), bounds, face_cap)
+    graph, bounds, face_cap = task
+    k = build_complex(graph, bounds, face_cap)
     profile = reduced_homology(k)
     return ClassOracle(wedge_profile(profile), profile.torsion, reduced_euler(k))
 
@@ -411,8 +491,9 @@ def _check_instance(
         report.agreements += 1
 
 
-def _check_recursion(report, graph, bounds, extra_counts, oracle):
-    _check_instance(report, graph, bounds, sphere_counts(graph, bounds), oracle, extra_counts)
+def _check_recursion(report, graph, bounds, extra_counts, result):
+    oracle, counts = result
+    _check_instance(report, graph, bounds, counts, oracle, extra_counts)
 
 
 def sweep_forests(
@@ -456,7 +537,11 @@ def sweep_forests(
         for forest in forests
         for bounds in clamped_bound_grid(forest, max_bound)
     )
-    return _sweep(report, instances, _oracle_worker, _check_recursion, jobs, face_cap)
+    # the forests are pairwise non-isomorphic and the grid is already clamped
+    return _sweep(
+        report, instances, _oracle_worker, _check_recursion, jobs, face_cap,
+        shard=lambda forest, _bounds: forest, key=ForestPlan.code,
+    )
 
 
 def sweep_caterpillars(
@@ -478,17 +563,23 @@ def sweep_caterpillars(
     def instances():
         for n in range(1, max_spine + 1):
             for m in itertools.product(range(min_leaves, max_leaves + 1), repeat=n):
+                graph, _ = gen_caterpillar(CaterpillarSpec(m, (0,) * n))
+                leaves = (1,) * sum(m)
                 for lam in itertools.product(range(max_bound + 1), repeat=n):
-                    spec = CaterpillarSpec(m, lam)
-                    extra = {"closed_form": caterpillar_closed_form(spec)} if min(m) >= 1 else None
-                    yield (*gen_caterpillar(spec), extra)
+                    extra = None
+                    if min(m) >= 1:
+                        extra = {"closed_form": caterpillar_closed_form(CaterpillarSpec(m, lam))}
+                    yield graph, lam + leaves, extra
 
-    return _sweep(report, instances(), _oracle_worker, _check_recursion, jobs, face_cap)
+    return _sweep(
+        report, instances(), _oracle_worker, _check_recursion, jobs, face_cap,
+        shard=_graph_shards(),
+    )
 
 
 def _matching_worker(task) -> dict[int, tuple[int, ...]]:
-    (num_vertices, edges, bounds, face_cap) = task
-    return reduced_homology(build_complex(Graph(num_vertices, edges), bounds, face_cap)).torsion
+    graph, bounds, face_cap = task
+    return reduced_homology(build_complex(graph, bounds, face_cap)).torsion
 
 
 def _check_torsion_free(report, graph, bounds, _extra, torsion):
@@ -522,17 +613,20 @@ def sweep_matching_caterpillars(
         for m in itertools.product(range(max_leaves + 1), repeat=n)
     )
     instances = ((graph, (k,) * graph.num_vertices, None) for graph in graphs for k in k_values)
-    return _sweep(report, instances, _matching_worker, _check_torsion_free, jobs, face_cap)
+    return _sweep(
+        report, instances, _matching_worker, _check_torsion_free, jobs, face_cap,
+        shard=_graph_shards(), counts=False,
+    )
 
 
 def _cycle_worker(task):
     """(oracle of the cycle, faults of its reduction, path counts), or None if irreducible."""
-    (n, edges, bounds, face_cap) = task
-    reduced = cycle_reduce(n, bounds)
+    graph, bounds, face_cap = task
+    reduced = cycle_reduce(graph.num_vertices, bounds)
     if reduced is None:
         return None
     path, path_bounds, edge_map = reduced
-    cyc = build_complex(Graph(n, edges), bounds, face_cap)
+    cyc = build_complex(graph, bounds, face_cap)
     pk = build_complex(path, path_bounds, face_cap)
     faults = []
     cyc_faces = cyc.face_set
@@ -582,7 +676,7 @@ def sweep_cycles(
     )
     return _sweep(
         report, instances, _cycle_worker, _check_cycle, jobs, face_cap,
-        key=lambda graph, bounds: (graph.num_vertices, bounds),
+        shard=lambda graph, bounds: (graph.num_vertices, bounds), key=None, counts=False,
     )
 
 
@@ -608,4 +702,7 @@ def sweep_random_forests(
             continue
         bounds = tuple(rng.randint(0, max_bound) for _ in range(forest.num_vertices))
         picked.append((forest, bounds, None))
-    return _sweep(report, picked, _oracle_worker, _check_recursion, jobs, face_cap)
+    return _sweep(
+        report, picked, _oracle_worker, _check_recursion, jobs, face_cap,
+        shard=_graph_shards(),
+    )

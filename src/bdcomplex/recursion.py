@@ -27,6 +27,13 @@ children.  Folding a child c in state (j_c, r_c), with k = bound(c) - j_c:
 
 A root closes with its own star, star(bound - j, r).  Trees combine with
 the join convolution.
+
+The walk depends only on the forest: `sphere_counts` builds the forest's
+`ForestPlan` (see graph.py) and applies it with `plan_counts`, and a sweep
+builds one plan per forest for its whole bound grid.  Every weight is a
+positive count (products of positives, and C(r-1, k) >= 1 for k < r), so a
+fold adds each contribution into its output state in place, with the star's
+shift and multiplicity applied as it adds, and never normalizes.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from .errors import NotAForestError
-from .graph import DegreeBounds, Graph, is_forest, validate_bounds
+from .graph import DegreeBounds, ForestPlan, Graph, forest_plan, is_forest, validate_bounds
 
 SphereCounts = dict[int, int]
 
@@ -91,45 +98,81 @@ def simplify(graph: Graph, bounds: Sequence[int]) -> tuple[Graph, DegreeBounds]:
     )
 
 
-def _join_star(w: SphereCounts, k: int, r: int, suspend: int = 0) -> SphereCounts:
-    """join_convolve(w, star_profile(k, r)) suspended `suspend` times, for r >= 1.
-
-    The star of r leaves and center bound k is the empty face for k = 0, a
-    point for k >= r, and otherwise C(r-1, k) spheres of dimension k-1.
-    """
-    if k == 0:
-        return counts_shift(w, suspend) if suspend else w
-    if k >= r:
-        return {}
-    mult = comb(r - 1, k)
-    return {d + k + suspend: c * mult for d, c in w.items()}
-
-
-def _accumulate(states: dict, key: tuple[int, int], w: SphereCounts):
-    if w:
-        states[key] = counts_add(states.get(key, {}), w)
-
-
 # a vertex before any child is folded in: no edge used, no leaf, weight {-1: 1}
 _START = {(0, 0): {-1: 1}}
 
 
 def _fold_child(parent: dict, child: dict, bound_v: int, bound_c: int) -> dict:
-    """States of v after absorbing its processed child c (see module docstring)."""
+    """States of v after absorbing its processed child c (see module docstring).
+
+    Each child state becomes one or two moves (edges used at v, leaves
+    added, dimension shift, multiplicity).  A move adds the join of a
+    parent weight and the child weight, shifted and multiplied, straight
+    into the output state: every weight is a positive count, so nothing
+    cancels and nothing needs normalizing.
+    """
+    moves = []
+    for (j_c, r_c), w_c in child.items():
+        k = bound_c - j_c
+        if k == 0:
+            moves.append((0, 0, 1, 1, w_c))
+        elif r_c == 0:
+            moves.append((0, 1, 1, 1, w_c))
+        else:
+            # kept: W * star(k, r_c); used: Sigma(W * star(k - 1, r_c))
+            if k < r_c:
+                moves.append((0, 0, k + 1, comb(r_c - 1, k), w_c))
+            if k == 1:
+                moves.append((1, 0, 2, 1, w_c))
+            elif k - 1 < r_c:
+                moves.append((1, 0, k + 1, comb(r_c - 1, k - 1), w_c))
     out: dict = {}
     for (j, r), w in parent.items():
-        for (j_c, r_c), w_c in child.items():
-            base = join_convolve(w, w_c)
-            k = bound_c - j_c
-            if k == 0:
-                _accumulate(out, (j, r), base)
-            elif r_c == 0:
-                _accumulate(out, (j, r + 1), base)
-            else:
-                _accumulate(out, (j, r), _join_star(base, k, r_c))
-                if bound_v > j:
-                    _accumulate(out, (j + 1, r), _join_star(base, k - 1, r_c, 1))
+        for used, leaf, shift, mult, w_c in moves:
+            if j + used > bound_v:
+                continue
+            key = (j + used, r + leaf)
+            acc = out.get(key)
+            if acc is None:
+                acc = out[key] = {}
+            for p, cp in w.items():
+                for q, cq in w_c.items():
+                    d = p + q + shift
+                    acc[d] = acc.get(d, 0) + cp * cq * mult
     return out
+
+
+def plan_counts(plan: ForestPlan, bounds: Sequence[int]) -> SphereCounts:
+    """Sphere multiplicities of the forest of `plan` under valid `bounds`.
+
+    One pass over the plan's post-order; a root closes its tree with its
+    own star, and trees combine with the join convolution.
+    """
+    states: list[Optional[dict]] = [None] * len(plan.degrees)
+    result: Optional[SphereCounts] = None
+    for v, p in plan.steps:
+        mine = states[v]
+        states[v] = None
+        if p >= 0:
+            parent = _START if states[p] is None else states[p]
+            if mine is not None:
+                states[p] = _fold_child(parent, mine, bounds[p], bounds[v])
+            elif bounds[v]:
+                # a leaf child with bound >= 1 is one more live leaf at p
+                states[p] = {(j, r + 1): w for (j, r), w in parent.items()}
+            continue  # a leaf child with bound 0 leaves p as it is
+        tree: SphereCounts = {}
+        for (j, r), w in (_START if mine is None else mine).items():
+            k = bounds[v] - j
+            shift, mult = 0, 1
+            if r and k:
+                if k >= r:
+                    continue
+                shift, mult = k, comb(r - 1, k)
+            for d, c in w.items():
+                tree[d + shift] = tree.get(d + shift, 0) + c * mult
+        result = tree if result is None else join_convolve(result, tree)
+    return {-1: 1} if result is None else result
 
 
 def sphere_counts(
@@ -140,41 +183,9 @@ def sphere_counts(
 ) -> SphereCounts:
     """Sphere multiplicities of the bounded degree complex of a forest.
 
-    One iterative post-order pass over each tree, with no Python recursion
-    and no memo.  `cache` is accepted for compatibility and unused.
+    Builds the forest's plan and applies it: one iterative post-order pass
+    over each tree, with no Python recursion and no memo.  `cache` is
+    accepted for compatibility and unused.
     """
     bounds = validate_bounds(graph, bounds)
-    if not is_forest(graph):
-        raise NotAForestError("sphere counts require a forest")
-    n = graph.num_vertices
-    adj = graph.adjacency()
-    parent = [-1] * n
-    seen = [False] * n
-    states: list[Optional[dict]] = [None] * n
-    result: SphereCounts = {-1: 1}
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        order = [root]
-        for v in order:  # breadth-first; reversed, children precede parents
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = v
-                    order.append(w)
-        for v in reversed(order):
-            mine = _START if states[v] is None else states[v]
-            states[v] = None
-            p = parent[v]
-            if p >= 0:
-                states[p] = _fold_child(
-                    _START if states[p] is None else states[p], mine, bounds[p], bounds[v]
-                )
-                continue
-            tree: SphereCounts = {}
-            for (j, r), w in mine.items():
-                closed = _join_star(w, bounds[v] - j, r) if r else w
-                tree = counts_add(tree, closed)
-            result = join_convolve(result, tree)
-    return result
+    return plan_counts(forest_plan(graph, "sphere counts require a forest"), bounds)

@@ -29,6 +29,32 @@ def write_instance(tmp_path, obj, name="instance.json"):
 
 TWO_SPINE = {"caterpillar": {"m": [2, 1], "lambda": [2, 1]}}
 
+
+def run_script(body: str, stdin: str = "", limit_mb: int = 256):
+    """Python code `body` in a fresh process whose address space is capped at `limit_mb`."""
+    script = textwrap.dedent(
+        f"""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, ({limit_mb} << 20, {limit_mb} << 20))
+        """
+    ) + body
+    src = os.path.dirname(os.path.dirname(bdcomplex.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        input=stdin,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def run_limited(argv, stdin: str = "", limit_mb: int = 256):
+    """`main(argv)` in a fresh process capped at `limit_mb` of address space."""
+    return run_script(f"from bdcomplex.cli import main\nsys.exit(main({argv!r}))\n", stdin, limit_mb)
+
+
 # graph-form instances whose n or endpoints are not integers, or are booleans
 NON_INTEGER_GRAPHS = [
     {"n": 2, "edges": [[0, "a"]], "lambda": [1, 1]},
@@ -61,6 +87,26 @@ class TestGenerate:
     def test_bad_params(self, capsys):
         code, _, err = run(capsys, ["generate", "path", "--n", "4", "--lambda", "1,1"])
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cycle", "--n", "2", "--lambda", "1,1"], "a cycle needs at least three vertices"),
+            (["cycle", "--n", "4", "--lambda", "1"], "cycle needs n bounds"),
+            (["path", "--n", "0", "--lambda", "1"], "a path needs at least one vertex"),
+            (["path", "--n", "3", "--lambda", "1"], "path needs n bounds"),
+        ],
+    )
+    def test_size_and_length_messages(self, capsys, argv, message):
+        code, out, err = run(capsys, ["generate", *argv])
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("family", ["cycle", "path"])
+    def test_short_lambda_refused_before_building_under_256_mb(self, family):
+        # a four-million-vertex graph would take far more than 256 MB
+        proc = run_limited(["generate", family, "--n", "4000000", "--lambda", "1"])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == "" and proc.stderr == f"error: {family} needs n bounds\n"
 
 
 class TestCompute:
@@ -206,28 +252,26 @@ class TestCompute:
     def test_huge_caterpillar_shorthand_under_512_mb(self):
         # the closed form never reads the graph; building it for four million
         # leaves would take far more than 512 MB
-        script = textwrap.dedent(
-            """
-            import resource, sys
-            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-            from bdcomplex.cli import main
-            sys.exit(main(["compute", "-"]))
-            """
-        )
-        src = os.path.dirname(os.path.dirname(bdcomplex.__file__))
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            input='{"caterpillar":{"m":[4000000],"lambda":[2]}}',
-            env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True,
-            text=True,
-            timeout=120,
+        proc = run_limited(
+            ["compute", "-"], '{"caterpillar":{"m":[4000000],"lambda":[2]}}', limit_mb=512
         )
         assert proc.returncode == 0, proc.stderr
         obj = json.loads(proc.stdout)
         assert obj["method"] == "closed-form"
         assert obj["spheres"] == {"1": comb(3999999, 2)}
+
+    def test_short_cycle_lambda_refused_under_256_mb(self):
+        # the length of lambda is checked before a cycle of n vertices is built
+        proc = run_limited(["compute", "-"], '{"cycle":{"n":4000000,"lambda":[1]}}')
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "error": {"type": "ParseError", "message": "expected 4000000 bounds, got 1"}
+        }
+
+    def test_importing_the_cli_leaves_multiprocessing_out(self):
+        proc = run_script("import bdcomplex.cli\nprint('multiprocessing' in sys.modules)\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_any_failure_is_an_error_object(self, capsys, tmp_path, monkeypatch):
         def deep(instance, *args):

@@ -2,11 +2,13 @@
 the package names that the benchmark's tracer binds."""
 
 import importlib.util
+import itertools
 import threading
 import time
 from pathlib import Path
 
 from bdcomplex import cli, harness
+from bdcomplex.graph import CaterpillarSpec, gen_caterpillar
 from bdcomplex.harness import (
     POOL_READ_AHEAD,
     pool_map,
@@ -29,7 +31,7 @@ class TestPoolMap:
         expected = [x * x for x in tasks]
         for jobs in (0, 1, 2):
             assert list(pool_map(_square, tasks, jobs)) == expected
-        assert list(pool_map(_square, iter(tasks), 2, chunksize=7)) == expected
+        assert list(pool_map(_square, iter(tasks), 2)) == expected
 
     def test_no_tasks(self):
         assert list(pool_map(_square, [], 1)) == []
@@ -43,11 +45,11 @@ class TestPoolMap:
                 read.append(x)
                 yield x
 
-        ahead = POOL_READ_AHEAD * 2 * 3
+        ahead = POOL_READ_AHEAD * 2
         taken = []
 
         def take_three_and_stop():
-            results = pool_map(_square, tasks(), 2, chunksize=3)
+            results = pool_map(_square, tasks(), 2)
             taken.extend(next(results) for _ in range(3))
             deadline = time.monotonic() + 30
             while len(read) < 3 + ahead and time.monotonic() < deadline:
@@ -91,20 +93,26 @@ class TestSweepFailures:
         assert "killed edge in face" in reasons
         assert report.ok is False and report.agreements < 4
 
-    def _corrupt_single_edges(self, monkeypatch):
-        """sphere_counts answers wrongly on a single edge with both bounds 1."""
-        real = harness.sphere_counts
+    def _corrupt(self, monkeypatch, wrong_on):
+        """plan_counts, which the sweep workers call per instance, answers wrongly where `wrong_on`."""
+        real = harness.plan_counts
         corrupted = []
 
-        def wrong(graph, bounds, *args, **kwargs):
-            counts = real(graph, bounds, *args, **kwargs)
-            if graph.num_edges == 1 and tuple(bounds) == (1, 1):
-                corrupted.append((graph.edges, tuple(bounds)))
+        def wrong(plan, bounds):
+            counts = real(plan, bounds)
+            if wrong_on(plan.graph, tuple(bounds)):
+                corrupted.append((plan.graph.edges, tuple(bounds)))
                 return {**counts, 0: counts.get(0, 0) + 1}
             return counts
 
-        monkeypatch.setattr(harness, "sphere_counts", wrong)
+        monkeypatch.setattr(harness, "plan_counts", wrong)
         return corrupted
+
+    def _corrupt_single_edges(self, monkeypatch):
+        """Wrong counts on a single edge with both bounds 1."""
+        return self._corrupt(
+            monkeypatch, lambda graph, bounds: graph.num_edges == 1 and bounds == (1, 1)
+        )
 
     def _assert_reported(self, report, corrupted):
         assert corrupted
@@ -122,6 +130,33 @@ class TestSweepFailures:
         report = sweep_caterpillars(1, 1, 1)
         self._assert_reported(report, corrupted)
         assert any("closed_form" in m for m in report.mismatches)
+
+    def test_caterpillar_sweep_reports_a_wrong_count_from_pool_workers(self, monkeypatch):
+        corrupted = self._corrupt_single_edges(monkeypatch)
+        pooled = sweep_caterpillars(1, 1, 1, jobs=2)
+        assert not corrupted  # the forked workers made the corrupted calls
+        serial = sweep_caterpillars(1, 1, 1)
+        self._assert_reported(serial, corrupted)
+        assert pooled.to_json() == serial.to_json()
+        assert pooled.mismatches == serial.mismatches
+
+    def test_mismatches_of_one_shard_keep_instance_order(self, monkeypatch):
+        # m = (1,2) and (2,1) are one shard, as are (1,3) and (3,1); in
+        # instance order (1,3) and (2,2) fall between (1,2) and (2,1)
+        self._corrupt(monkeypatch, lambda graph, bounds: graph.num_vertices in (5, 6))
+        expected = [
+            harness.instance_json(*gen_caterpillar(CaterpillarSpec(m, lam)))
+            for m in itertools.product(range(1, 4), repeat=2)
+            if sum(m) in (3, 4)
+            for lam in itertools.product(range(2), repeat=2)
+        ]
+        reports = [sweep_caterpillars(2, 3, 1, jobs=jobs) for jobs in (1, 2)]
+        for report in reports:
+            reported = [m["instance"] for m in report.mismatches if "oracle" in m]
+            assert reported == expected
+            assert [m["instance"] for m in report.mismatches if "closed_form" in m] == expected
+        assert reports[0].mismatches == reports[1].mismatches
+        assert reports[0].to_json() == reports[1].to_json()
 
     def test_random_sweep_reports_a_wrong_count(self, monkeypatch):
         corrupted = self._corrupt_single_edges(monkeypatch)

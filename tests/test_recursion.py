@@ -10,10 +10,12 @@ from bdcomplex.errors import NotAForestError
 from bdcomplex.graph import (
     CaterpillarSpec,
     Graph,
+    canonical_code,
     disjoint_union,
     gen_caterpillar,
     gen_cycle,
     gen_path,
+    forest_plan,
     nonisomorphic_forests,
     random_forest,
 )
@@ -23,6 +25,7 @@ from bdcomplex.recursion import (
     counts_add,
     counts_shift,
     join_convolve,
+    plan_counts,
     simplify,
     sphere_counts,
 )
@@ -255,6 +258,26 @@ class TestSphereCounts:
                 ) - counts.get(-1, 0)
                 assert signed == reduced_euler(k)
 
+
+
+class TestForestPlan:
+    def test_one_plan_serves_the_whole_grid_in_any_order(self):
+        rng = random.Random(5)
+        for forest in nonisomorphic_forests(5):
+            grid = list(clamped_bound_grid(forest, 3))
+            fresh = {b: (sphere_counts(forest, b), canonical_code(forest, b)) for b in grid}
+            plan = forest_plan(forest)
+            rng.shuffle(grid)
+            for b in grid:
+                assert (plan_counts(plan, b), plan.code(b)) == fresh[b], (forest, b)
+
+    def test_clamp_caps_at_degree(self):
+        plan = forest_plan(gen_path(3))
+        assert plan.clamp((3, 3, 0)) == (1, 2, 0)
+
+    def test_forest_required(self):
+        with pytest.raises(NotAForestError):
+            forest_plan(gen_cycle(4))
 
 def signed_sum(counts):
     return sum(c if d % 2 == 0 else -c for d, c in counts.items())

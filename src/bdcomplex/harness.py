@@ -405,20 +405,21 @@ def _sweep(
 
     `instances` yields (graph, bounds, extra) triples and `shard(graph,
     bounds)` names an instance's shard.  A shard holds whole classes: every
-    instance isomorphic to one of its members is in it.  The parent then
+    instance isomorphic to one of its members is in it.  `worker`, `key`
+    and `counts` are handed to `_shard_worker`.  The parent then
     runs `check(report, graph, bounds, extra, result)` on every instance,
     representatives and duplicates alike, in the order `instances` gave.
     """
     instances = list(instances)
     shard_of: dict = {}
     shards: list[list] = []
-    where = []
+    where = []  # the shard of each instance
     for graph, bounds, _ in instances:
         s = shard_of.setdefault(shard(graph, bounds), len(shard_of))
         if s == len(shards):
             shards.append([])
-        where.append((s, len(shards[s])))
         shards[s].append((graph, bounds))
+        where.append(s)
     size = max(1, len(instances) // (jobs * TASKS_PER_JOB))
     tasks: list[list] = []
     filled = size
@@ -431,8 +432,9 @@ def _sweep(
     run = partial(_shard_worker, worker, key, counts, face_cap)
     done = [result for results in pool_map(run, tasks, jobs) for result in results]
     report.classes = sum(classes for classes, _ in done)
-    for (graph, bounds, extra), (s, i) in zip(instances, where):
-        check(report, graph, bounds, extra, done[s][1][i])
+    results = [iter(out) for _, out in done]  # a shard lists its members in instance order
+    for (graph, bounds, extra), s in zip(instances, where):
+        check(report, graph, bounds, extra, next(results[s]))
     return report.finish()
 
 

@@ -23,6 +23,7 @@ import itertools
 import random
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Optional, Sequence
@@ -430,11 +431,18 @@ def _sweep(
         tasks[-1].append(members)
         filled += len(members)
     run = partial(_shard_worker, worker, key, counts, face_cap)
-    done = [result for results in pool_map(run, tasks, jobs) for result in results]
-    report.classes = sum(classes for classes, _ in done)
-    results = [iter(out) for _, out in done]  # a shard lists its members in instance order
+    done = (result for results in pool_map(run, tasks, jobs) for result in results)
+    # Shards are numbered in order of first appearance and come back in that
+    # order, so each instance's shard is taken from the pool when first
+    # needed, and a result is let go once its instance is checked.
+    pending: list[deque] = []
     for (graph, bounds, extra), s in zip(instances, where):
-        check(report, graph, bounds, extra, next(results[s]))
+        while len(pending) <= s:
+            classes, out = next(done)
+            report.classes += classes
+            pending.append(deque(out))
+        check(report, graph, bounds, extra, pending[s].popleft())
+    next(done, None)  # every shard is taken: this ends the pool
     return report.finish()
 
 

@@ -6,10 +6,13 @@ degree -1.  All arithmetic is exact, on Python integers, and matrices stay
 sparse throughout: a low-valence pass splits off every +-1 pivot, and a
 textbook Smith elimination, which takes its pivots from a lazy heap,
 handles the (usually tiny) remainder, so memory follows the number of
-nonzeros rather than rows x columns.  `reduced_homology` reduces the
-boundary matrices from the top dimension down and clears, that is never
-builds, the column of each face that was the row of a +-1 pivot one
-dimension up; about half the columns of a typical complex are cleared.
+nonzeros rather than rows x columns.  `reduced_homology` first excises the
+ground element e in the most faces: the reduced homology of K is that of
+the pair (del e, lk e), whose cells are the faces that avoid e and are not
+in lk(e), often a fifth to a half of the faces and none for a cone.  It
+then reduces the relative boundary matrices from the top dimension down
+and clears, that is never builds, the column of each cell that was the row
+of a +-1 pivot one dimension up.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Collection, Optional
 
 from .complexes import SimplicialComplex
@@ -49,7 +53,10 @@ def boundary_matrix(k: SimplicialComplex, d: int, *, skip: Collection[int] = ())
     Rows are indexed by the (d-1)-faces in their stored order (the single
     empty face when d = 0), columns by the d-faces.  The column of a face
     carries (-1)^j at the face obtained by removing its j-th smallest vertex.
-    The columns whose indices are in `skip` are left empty.
+    A boundary face that is not a row is dropped, so when `k` holds the cells
+    of a relative complex (see `reduced_homology`) this is the relative
+    boundary; on a simplicial complex every boundary face is a row.  The
+    columns whose indices are in `skip` are left empty.
     """
     if d < 0:
         raise ValueError("boundary operators are indexed by d >= 0")
@@ -57,16 +64,19 @@ def boundary_matrix(k: SimplicialComplex, d: int, *, skip: Collection[int] = ())
     if d == 0:
         entries = {(0, j): 1 for j in range(len(col_faces)) if j not in skip}
         return IntegerMatrix(1, len(col_faces), entries)
-    row_index = {f: i for i, f in enumerate(k.faces(d - 1))}
+    row_faces = k.faces(d - 1)
+    row_index = {f: i for i, f in enumerate(row_faces)}.get
     entries: dict[tuple[int, int], int] = {}
     for j, face in enumerate(col_faces):
         if j in skip:
             continue
         sign = 1
         for pos in range(len(face)):
-            entries[(row_index[face[:pos] + face[pos + 1 :]], j)] = sign
+            i = row_index(face[:pos] + face[pos + 1 :])
+            if i is not None:
+                entries[(i, j)] = sign
             sign = -sign
-    return IntegerMatrix(len(row_index), len(col_faces), entries)
+    return IntegerMatrix(len(row_faces), len(col_faces), entries)
 
 
 def _eliminate_units(m: IntegerMatrix) -> tuple[list[int], dict[tuple[int, int], int]]:
@@ -229,29 +239,70 @@ class HomologyProfile:
         return not self.torsion
 
 
+def _excise(k: SimplicialComplex) -> SimplicialComplex:
+    """The cells of the pair (K, st e), as layers in their stored order.
+
+    e is the ground element in the most faces, the smallest on ties.  A face
+    is a cell when it lies outside st(e), that is, when its union with e is
+    not a face: it avoids e and is not in lk(e).  The record is not closed
+    under taking faces; `boundary_matrix` drops the boundary faces that lie
+    in lk(e).  Each layer of lk(e) is built from the layer above it, and at
+    most two are held at once.
+    """
+    counts = [0] * k.ground_set
+    for x in chain.from_iterable(chain.from_iterable(k.faces_by_dim)):
+        counts[x] += 1
+    e = counts.index(max(counts))
+    layers = []
+    link: set = set()  # the faces of lk(e) one dimension below the layer above
+    for faces in reversed(k.faces_by_dim):
+        below = set()
+        kept = []
+        for f in faces:
+            if e in f:
+                i = f.index(e)
+                below.add(f[:i] + f[i + 1 :])
+            elif f not in link:
+                kept.append(f)
+        layers.append(tuple(kept))
+        link = below
+    return SimplicialComplex(k.ground_set, tuple(reversed(layers)))
+
+
 def reduced_homology(k: SimplicialComplex) -> HomologyProfile:
     """Exact reduced integral homology of the augmented chain complex.
 
-    The boundary operators are reduced from the top dimension down, and the
-    column of every d-face that was the row of a +-1 pivot of the boundary
-    d+1 is never built (clearing, after Chen and Kerber).  This is exact
-    over the integers: at its pivot each such column is a boundary that is
-    +-1 on its own row and 0 on the rows of the earlier pivots, so every
-    cleared face is an integer combination of kept faces plus a boundary,
-    and its column of the boundary d lies in the integer span of the kept
-    ones.  Rank and invariant factors are unchanged.  The non-unit pivots
-    of the exact phase clear nothing, as they give no such combination.
+    Excision first.  For the element e in the most faces, K is the union of
+    del(e) and the cone st(e), which meet in lk(e), so the augmented chains
+    of K modulo those of st(e) are the chains of del(e) modulo those of
+    lk(e), and as st(e) is acyclic, H~(K) = H(K, st e) = H(del e, lk e) in
+    every degree, torsion included.  That relative complex is free on the
+    faces that avoid e and are not in lk(e); its boundary is the boundary
+    of K with the faces of lk(e) dropped.  The empty face lies in lk(e), so
+    degree -1 has no cell and the boundary 0 is never built; only the
+    complex without a vertex keeps its class in degree -1.
+
+    The relative boundary operators are then reduced from the top dimension
+    down, and the column of every d-cell that was the row of a +-1 pivot of
+    the boundary d+1 is never built (clearing, after Chen and Kerber).  This
+    holds in any free chain complex with a basis: at its pivot each such
+    column is a boundary that is +-1 on its own row and 0 on the rows of the
+    earlier pivots, so every cleared cell is an integer combination of kept
+    cells plus a boundary, and its column of the boundary d lies in the
+    integer span of the kept ones.  Rank and invariant factors are
+    unchanged.  The non-unit pivots of the exact phase clear nothing, as
+    they give no such combination.
     """
     top = k.dim
-    f = {-1: 1}
-    for d in range(top + 1):
-        f[d] = len(k.faces(d))
-    ranks = {d: 0 for d in range(-1, top + 3)}
+    if top < 0:
+        return HomologyProfile({-1: 1}, {})
+    rel = _excise(k)
+    ranks = [0] * (top + 2)  # rank of the relative boundary d; zero for d = 0
     torsion: dict[int, tuple[int, ...]] = {}
     cleared: set[int] = set()
-    for d in range(top, -1, -1):
+    for d in range(top, 0, -1):
         unit_rows: list[int] = []
-        rank, factors = smith_normal_form(boundary_matrix(k, d, skip=cleared), unit_rows=unit_rows)
+        rank, factors = smith_normal_form(boundary_matrix(rel, d, skip=cleared), unit_rows=unit_rows)
         cleared = set(unit_rows)
         ranks[d] = rank
         nontrivial = tuple(x for x in factors if x > 1)
@@ -259,8 +310,8 @@ def reduced_homology(k: SimplicialComplex) -> HomologyProfile:
             torsion[d - 1] = nontrivial
     torsion = dict(sorted(torsion.items()))  # lowest dimension first, as reported
     betti = {}
-    for d in range(-1, top + 1):
-        b = f[d] - ranks[d] - ranks[d + 1]
+    for d in range(top + 1):
+        b = len(rel.faces(d)) - ranks[d] - ranks[d + 1]
         if b:
             betti[d] = b
     return HomologyProfile(betti, torsion)

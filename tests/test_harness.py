@@ -184,12 +184,16 @@ class TestBenchmarkBindings:
             res = harness.compute_instance(two_spine, method="homology")
             assert res.homology.betti == {1: 1}
             cli.result_json(two_spine, res)
+            # the two-spine circle is one relative 1-cell with an empty
+            # boundary, so only this instance builds boundary nonzeros
+            c5 = harness.parse_instance({"cycle": {"n": 5, "lambda": [1] * 5}})
+            assert harness.compute_instance(c5, method="homology").homology.betti == {1: 1}
         finally:
             uninstall()
         assert harness.compute_instance is original
         calls = {name: row["calls"] for name, row in rec.summary().items()}
         for name in ("harness.parse_instance", "harness.compute_instance"):
-            assert calls[name] == 2, name
+            assert calls[name] == 3, name
         for name in (
             "recursion.sphere_counts",
             "complexes.build_complex",
@@ -199,5 +203,5 @@ class TestBenchmarkBindings:
             "cli.result_json",
         ):
             assert calls[name] >= 1, name
-        assert rec.counters["faces"] == 10  # f-vector (4, 5, 1)
+        assert rec.counters["faces"] == 10 + 10  # f-vectors (4, 5, 1) and (5, 5)
         assert rec.counters["boundary_nnz"] > 0

@@ -202,11 +202,9 @@ def cmd_verify(args) -> int:
             args.max_spine, args.max_leaves, args.max_bound, min_leaves=args.min_leaves, **pool
         )
     elif args.family == "cycles":
-        last_bounds = _parse_int_list(args.last_bounds, "--last-bounds")
-        report = sweep_cycles(list(range(3, args.max_n + 1)), args.max_bound, last_bounds, **pool)
+        report = sweep_cycles(list(range(3, args.max_n + 1)), args.max_bound, args.last_bounds, **pool)
     elif args.family == "matching":
-        k_values = _parse_int_list(args.k, "--k")
-        report = sweep_matching_caterpillars(args.max_spine, args.max_leaves, k_values, **pool)
+        report = sweep_matching_caterpillars(args.max_spine, args.max_leaves, args.k, **pool)
     else:  # random
         report = sweep_random_forests(args.count, args.seed, args.max_edges, args.max_bound, **pool)
     obj = report.to_json(include_timings=args.timings)
@@ -223,6 +221,25 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(low: int, text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+    return value
+
+
+# argparse types: a value out of range is a usage error (exit 2) naming the option
+_positive_int = partial(_int_at_least, 1)
+_non_negative_int = partial(_int_at_least, 0)
+
+
+def _non_negative_list(text: str) -> list[int]:
+    return [_non_negative_int(x) for x in text.split(",")] if text else []
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bdcomplex",
@@ -231,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--face-cap", type=int, default=DEFAULT_FACE_CAP)
+        p.add_argument("--face-cap", type=_positive_int, default=DEFAULT_FACE_CAP)
         p.add_argument("--output", choices=("json", "table"), default="json")
         p.add_argument("--timings", action="store_true", help="include timing fields")
 
@@ -271,29 +288,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = fam.add_parser("forests")
     q.add_argument("--max-edges", type=int, default=5)
-    q.add_argument("--max-bound", type=int, default=2)
+    q.add_argument("--max-bound", type=_non_negative_int, default=2)
     q.add_argument("--raw-samples", type=int, default=200)
     verify_common(q)
     q = fam.add_parser("caterpillars")
     q.add_argument("--max-spine", type=int, default=3)
     q.add_argument("--max-leaves", type=int, default=3)
-    q.add_argument("--max-bound", type=int, default=3)
+    q.add_argument("--max-bound", type=_non_negative_int, default=3)
     q.add_argument("--min-leaves", type=int, default=1)
     verify_common(q)
     q = fam.add_parser("cycles")
     q.add_argument("--max-n", type=int, default=7)
-    q.add_argument("--max-bound", type=int, default=3)
-    q.add_argument("--last-bounds", default="0,2,3")
+    q.add_argument("--max-bound", type=_non_negative_int, default=3)
+    q.add_argument("--last-bounds", type=_non_negative_list, default="0,2,3")
     verify_common(q)
     q = fam.add_parser("matching")
     q.add_argument("--max-spine", type=int, default=3)
     q.add_argument("--max-leaves", type=int, default=3)
-    q.add_argument("--k", default="1,2,3")
+    q.add_argument("--k", type=_non_negative_list, default="1,2,3")
     verify_common(q)
     q = fam.add_parser("random")
     q.add_argument("--count", type=int, default=100)
     q.add_argument("--max-edges", type=int, default=9)
-    q.add_argument("--max-bound", type=int, default=3)
+    q.add_argument("--max-bound", type=_non_negative_int, default=3)
     verify_common(q)
     p.set_defaults(func=cmd_verify)
 

@@ -497,3 +497,43 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, ["verify", family, "--seed", "7", "--jobs", jobs])
         assert code == 0
         assert out == golden.read_text(encoding="utf-8")
+
+
+class TestOptionRanges:
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["compute", "--face-cap", "-5"], "--face-cap"),
+            (["compute", "--method", "homology", "--face-cap", "0"], "--face-cap"),
+            (["batch", "--face-cap", "0"], "--face-cap"),
+            (["verify", "cycles", "--max-n", "3", "--face-cap", "0"], "--face-cap"),
+            (["verify", "forests", "--max-bound", "-1"], "--max-bound"),
+            (["verify", "caterpillars", "--max-bound", "-1"], "--max-bound"),
+            (["verify", "cycles", "--max-bound", "-1"], "--max-bound"),
+            (["verify", "random", "--max-bound", "-1"], "--max-bound"),
+            (["verify", "cycles", "--last-bounds", "-1"], "--last-bounds"),
+            (["verify", "matching", "--k", "-1"], "--k"),
+            (["verify", "matching", "--k", "1,-2"], "--k"),
+        ],
+    )
+    def test_out_of_range_is_a_usage_error(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert f"error: argument {option}: must be at least" in err
+        assert "Traceback" not in err
+
+    def test_out_of_range_leaves_no_traceback_in_a_process(self):
+        proc = run_limited(["verify", "forests", "--max-bound", "-1"])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "argument --max-bound: must be at least 0, got -1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_lowest_values_are_accepted(self, capsys):
+        argv = ["verify", "cycles", "--max-n", "3", "--max-bound", "0", "--last-bounds", "0",
+                "--face-cap", "1"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and json.loads(out)["ok"] is True
+        code, out, _ = run(capsys, ["verify", "matching", "--max-spine", "1", "--k", "0"])
+        assert code == 0 and json.loads(out)["ok"] is True

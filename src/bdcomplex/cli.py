@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("batch", help="compute a JSON-lines file of instances")
     p.add_argument("file", nargs="?", default="-")
     p.add_argument("--method", choices=METHODS, default="auto")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     common(p)
     p.set_defaults(func=cmd_batch)
 
@@ -282,34 +282,34 @@ def build_parser() -> argparse.ArgumentParser:
     fam = p.add_subparsers(dest="family", required=True)
 
     def verify_common(q):
-        q.add_argument("--jobs", type=int, default=1)
+        q.add_argument("--jobs", type=_positive_int, default=1)
         q.add_argument("--seed", type=int, default=0)
         common(q)
 
     q = fam.add_parser("forests")
-    q.add_argument("--max-edges", type=int, default=5)
+    q.add_argument("--max-edges", type=_non_negative_int, default=5)
     q.add_argument("--max-bound", type=_non_negative_int, default=2)
-    q.add_argument("--raw-samples", type=int, default=200)
+    q.add_argument("--raw-samples", type=_non_negative_int, default=200)
     verify_common(q)
     q = fam.add_parser("caterpillars")
-    q.add_argument("--max-spine", type=int, default=3)
-    q.add_argument("--max-leaves", type=int, default=3)
+    q.add_argument("--max-spine", type=_non_negative_int, default=3)
+    q.add_argument("--max-leaves", type=_non_negative_int, default=3)
     q.add_argument("--max-bound", type=_non_negative_int, default=3)
-    q.add_argument("--min-leaves", type=int, default=1)
+    q.add_argument("--min-leaves", type=_non_negative_int, default=1)
     verify_common(q)
     q = fam.add_parser("cycles")
-    q.add_argument("--max-n", type=int, default=7)
+    q.add_argument("--max-n", type=partial(_int_at_least, 3), default=7)
     q.add_argument("--max-bound", type=_non_negative_int, default=3)
     q.add_argument("--last-bounds", type=_non_negative_list, default="0,2,3")
     verify_common(q)
     q = fam.add_parser("matching")
-    q.add_argument("--max-spine", type=int, default=3)
-    q.add_argument("--max-leaves", type=int, default=3)
+    q.add_argument("--max-spine", type=_non_negative_int, default=3)
+    q.add_argument("--max-leaves", type=_non_negative_int, default=3)
     q.add_argument("--k", type=_non_negative_list, default="1,2,3")
     verify_common(q)
     q = fam.add_parser("random")
-    q.add_argument("--count", type=int, default=100)
-    q.add_argument("--max-edges", type=int, default=9)
+    q.add_argument("--count", type=_non_negative_int, default=100)
+    q.add_argument("--max-edges", type=_non_negative_int, default=9)
     q.add_argument("--max-bound", type=_non_negative_int, default=3)
     verify_common(q)
     p.set_defaults(func=cmd_verify)

@@ -6,11 +6,12 @@ bare graph: a forest of the forest sweep, a caterpillar together with its
 reversal, a single cycle instance.  Two instances whose (forest, bounds)
 pairs are isomorphic after clamping each bound at the vertex degree have
 equal complexes up to relabeling, so a class of such instances never spans
-two shards.  A pool task (`_shard_worker`, through `pool_map`) takes whole
-shards: it builds each graph's `ForestPlan` once, names every instance's
-class by the plan's canonical code of its clamped bounds, runs the sweep's
-worker (the homology oracle) once per class and the plan's forest
-recursion once per instance.  The parent then checks every instance,
+two shards.  A pool task (through `pool_map`) takes whole shards.  The
+forest task (`_forest_task`) builds each graph's `ForestPlan` once, names
+every instance's class by the plan's canonical code of its clamped bounds,
+runs the homology oracle once per class and the plan's forest recursion
+once per instance; the cycle task (`_cycle_task`) checks one cycle's
+reduction to a path.  The parent then checks every instance (`_check`),
 duplicates included, against the result of its class, in the order the
 instances were listed.  The clamping and relabeling equivalences themselves
 are covered by dedicated tests and by seeded raw-instance spot checks in
@@ -34,7 +35,6 @@ from .errors import MethodMismatchError, ParseError
 from .graph import (
     CaterpillarSpec,
     DegreeBounds,
-    ForestPlan,
     Graph,
     canonical_code,
     forest_plan,
@@ -352,18 +352,13 @@ def _graph_shards():
     return shard
 
 
-def _clamped_code(plan: ForestPlan, bounds: DegreeBounds) -> bytes:
-    return plan.code(plan.clamp(bounds))
-
-
-def _shard_worker(worker, key, counts: bool, face_cap: int, shards) -> list:
+def _forest_task(face_cap: int, shards) -> list:
     """(classes, per-member results) of each shard of (graph, bounds) members.
 
-    With `key`, each graph's plan is built once and names each member's
-    class by `key(plan, bounds)`; otherwise a whole shard is one class.
-    `worker` runs once per class, on its first member as
-    (graph, bounds, face_cap).  A member's result is its class's, paired
-    with its own `plan_counts` when `counts` is set.
+    Each graph's plan is built once and names each member's class by the
+    canonical code of its clamped bounds.  The oracle runs once per class,
+    on its first member, and the plan's recursion once per member, so a
+    member's result is (its class's oracle, its counts, no faults).
     """
     plans: dict = {}
     done = []
@@ -371,16 +366,14 @@ def _shard_worker(worker, key, counts: bool, face_cap: int, shards) -> list:
         classes: dict = {}
         out = []
         for graph, bounds in members:
-            plan = None
-            if key is not None or counts:
-                plan = plans.get(graph)
-                if plan is None:
-                    plan = plans[graph] = forest_plan(graph)
-            name = key(plan, bounds) if key is not None else None
-            if name not in classes:
-                classes[name] = worker((graph, bounds, face_cap))
-            result = classes[name]
-            out.append((result, plan_counts(plan, bounds)) if counts else result)
+            plan = plans.get(graph)
+            if plan is None:
+                plan = plans[graph] = forest_plan(graph)
+            name = plan.code(plan.clamp(bounds))
+            oracle = classes.get(name)
+            if oracle is None:
+                oracle = classes[name] = _oracle_worker(graph, bounds, face_cap)
+            out.append((oracle, plan_counts(plan, bounds), ()))
         done.append((len(classes), out))
     return done
 
@@ -390,26 +383,15 @@ def _shard_worker(worker, key, counts: bool, face_cap: int, shards) -> list:
 TASKS_PER_JOB = 16
 
 
-def _sweep(
-    report: VerifyReport,
-    instances,
-    worker,
-    check,
-    jobs: int,
-    face_cap: int,
-    *,
-    shard,
-    key=_clamped_code,
-    counts: bool = True,
-) -> VerifyReport:
-    """Run `_shard_worker` on every shard of `instances`, then `check` every instance.
+def _sweep(report: VerifyReport, instances, run, jobs: int, shard) -> VerifyReport:
+    """Run `run` on every shard of `instances`, then `_check` every instance.
 
     `instances` yields (graph, bounds, extra) triples and `shard(graph,
     bounds)` names an instance's shard.  A shard holds whole classes: every
-    instance isomorphic to one of its members is in it.  `worker`, `key`
-    and `counts` are handed to `_shard_worker`.  The parent then
-    runs `check(report, graph, bounds, extra, result)` on every instance,
-    representatives and duplicates alike, in the order `instances` gave.
+    instance isomorphic to one of its members is in it.  `run(shards)`
+    gives (classes, per-member results) for each shard of (graph, bounds)
+    members.  The parent then checks every instance, representatives and
+    duplicates alike, in the order `instances` gave.
     """
     instances = list(instances)
     shard_of: dict = {}
@@ -430,7 +412,6 @@ def _sweep(
             filled = 0
         tasks[-1].append(members)
         filled += len(members)
-    run = partial(_shard_worker, worker, key, counts, face_cap)
     done = (result for results in pool_map(run, tasks, jobs) for result in results)
     # Shards are numbered in order of first appearance and come back in that
     # order, so each instance's shard is taken from the pool when first
@@ -441,52 +422,51 @@ def _sweep(
             classes, out = next(done)
             report.classes += classes
             pending.append(deque(out))
-        check(report, graph, bounds, extra, pending[s].popleft())
+        _check(report, graph, bounds, extra, pending[s].popleft())
     next(done, None)  # every shard is taken: this ends the pool
     return report.finish()
 
 
-def _oracle_worker(task) -> ClassOracle:
-    graph, bounds, face_cap = task
+def _oracle_worker(graph: Graph, bounds: DegreeBounds, face_cap: int) -> ClassOracle:
     k = build_complex(graph, bounds, face_cap)
     profile = reduced_homology(k)
     return ClassOracle(wedge_profile(profile), profile.torsion, reduced_euler(k))
+
+
+# perfbench/spans.py binds this name for its `harness.pool_task.matching`
+# span; it goes with the tracer's rebinding (ROADMAP item 1)
+_matching_worker = _oracle_worker
 
 
 def _record(graph: Graph, bounds, detail: dict) -> dict:
     return {"instance": instance_json(graph, bounds), **detail}
 
 
-def _torsion_record(graph: Graph, bounds, torsion: dict[int, tuple[int, ...]]) -> dict:
-    return _record(graph, bounds, {"torsion": {str(d): list(t) for d, t in torsion.items()}})
+def _check(report: VerifyReport, graph: Graph, bounds: DegreeBounds, extra, result):
+    """Compare one instance's counts against its class oracle and `extra`.
 
-
-def _check_instance(
-    report: VerifyReport,
-    graph: Graph,
-    bounds: DegreeBounds,
-    counts: SphereCounts,
-    oracle: ClassOracle,
-    extra_counts: Optional[dict[str, SphereCounts]] = None,
-    faults: Sequence[str] = (),
-):
-    """Compare one instance's computed counts against its class oracle.
-
-    `faults` are reasons, found while computing, that the instance disagrees.
+    `result` is (oracle, counts, faults), where faults are reasons found
+    while computing that the instance disagrees, or None for a cycle that
+    does not reduce.  `extra` maps a route to its counts, or is None.
     """
     report.instances += 1
+    if result is None:
+        report.errors.append(_record(graph, bounds, {"reason": "not reducible"}))
+        return
+    oracle, counts, faults = result
     ok = not faults
     for reason in faults:
         report.mismatches.append(_record(graph, bounds, {"reason": reason}))
     if oracle.torsion:
-        report.torsion_hits.append(_torsion_record(graph, bounds, oracle.torsion))
+        torsion = {str(d): list(t) for d, t in oracle.torsion.items()}
+        report.torsion_hits.append(_record(graph, bounds, {"torsion": torsion}))
         ok = False
     if oracle.wedge is not None and counts != oracle.wedge:
         report.mismatches.append(
             _record(graph, bounds, {"computed": counts, "oracle": oracle.wedge})
         )
         ok = False
-    for tag, other in (extra_counts or {}).items():
+    for tag, other in (extra or {}).items():
         if other != counts:
             report.mismatches.append(
                 _record(graph, bounds, {"computed": counts, tag: other})
@@ -499,11 +479,6 @@ def _check_instance(
         ok = False
     if ok:
         report.agreements += 1
-
-
-def _check_recursion(report, graph, bounds, extra_counts, result):
-    oracle, counts = result
-    _check_instance(report, graph, bounds, counts, oracle, extra_counts)
 
 
 def sweep_forests(
@@ -547,11 +522,14 @@ def sweep_forests(
         for forest in forests
         for bounds in clamped_bound_grid(forest, max_bound)
     )
-    # the forests are pairwise non-isomorphic and the grid is already clamped
-    return _sweep(
-        report, instances, _oracle_worker, _check_recursion, jobs, face_cap,
-        shard=lambda forest, _bounds: forest, key=ForestPlan.code,
-    )
+    return _sweep(report, instances, partial(_forest_task, face_cap), jobs, _graph_shards())
+
+
+def _caterpillars(max_spine: int, leaf_counts: range):
+    """(leaf counts m, bare caterpillar) for every spine of 1..max_spine vertices."""
+    for n in range(1, max_spine + 1):
+        for m in itertools.product(leaf_counts, repeat=n):
+            yield m, gen_caterpillar(CaterpillarSpec(m, (0,) * n))[0]
 
 
 def sweep_caterpillars(
@@ -571,33 +549,15 @@ def sweep_caterpillars(
     )
 
     def instances():
-        for n in range(1, max_spine + 1):
-            for m in itertools.product(range(min_leaves, max_leaves + 1), repeat=n):
-                graph, _ = gen_caterpillar(CaterpillarSpec(m, (0,) * n))
-                leaves = (1,) * sum(m)
-                for lam in itertools.product(range(max_bound + 1), repeat=n):
-                    extra = None
-                    if min(m) >= 1:
-                        extra = {"closed_form": caterpillar_closed_form(CaterpillarSpec(m, lam))}
-                    yield graph, lam + leaves, extra
+        for m, graph in _caterpillars(max_spine, range(min_leaves, max_leaves + 1)):
+            leaves = (1,) * sum(m)
+            for lam in itertools.product(range(max_bound + 1), repeat=len(m)):
+                extra = None
+                if min(m) >= 1:
+                    extra = {"closed_form": caterpillar_closed_form(CaterpillarSpec(m, lam))}
+                yield graph, lam + leaves, extra
 
-    return _sweep(
-        report, instances(), _oracle_worker, _check_recursion, jobs, face_cap,
-        shard=_graph_shards(),
-    )
-
-
-def _matching_worker(task) -> dict[int, tuple[int, ...]]:
-    graph, bounds, face_cap = task
-    return reduced_homology(build_complex(graph, bounds, face_cap)).torsion
-
-
-def _check_torsion_free(report, graph, bounds, _extra, torsion):
-    report.instances += 1
-    if torsion:
-        report.torsion_hits.append(_torsion_record(graph, bounds, torsion))
-    else:
-        report.agreements += 1
+    return _sweep(report, instances(), partial(_forest_task, face_cap), jobs, _graph_shards())
 
 
 def sweep_matching_caterpillars(
@@ -608,7 +568,7 @@ def sweep_matching_caterpillars(
     jobs: int = 1,
     face_cap: int = DEFAULT_FACE_CAP,
 ) -> VerifyReport:
-    """Check that caterpillar matching complexes M_k have torsion-free homology.
+    """Verify recursion = homology on the matching complexes M_k of caterpillars.
 
     Every vertex, leaves included, gets the same bound k; torsion anywhere
     would contradict the wedge-of-spheres homotopy type.
@@ -617,21 +577,16 @@ def sweep_matching_caterpillars(
         "matching",
         {"max_spine": max_spine, "max_leaves": max_leaves, "k_values": list(k_values)},
     )
-    graphs = (
-        gen_caterpillar(CaterpillarSpec(m, (0,) * n))[0]
-        for n in range(1, max_spine + 1)
-        for m in itertools.product(range(max_leaves + 1), repeat=n)
+    instances = (
+        (graph, (k,) * graph.num_vertices, None)
+        for _, graph in _caterpillars(max_spine, range(max_leaves + 1))
+        for k in k_values
     )
-    instances = ((graph, (k,) * graph.num_vertices, None) for graph in graphs for k in k_values)
-    return _sweep(
-        report, instances, _matching_worker, _check_torsion_free, jobs, face_cap,
-        shard=_graph_shards(), counts=False,
-    )
+    return _sweep(report, instances, partial(_forest_task, face_cap), jobs, _graph_shards())
 
 
-def _cycle_worker(task):
-    """(oracle of the cycle, faults of its reduction, path counts), or None if irreducible."""
-    graph, bounds, face_cap = task
+def _cycle_worker(graph: Graph, bounds: DegreeBounds, face_cap: int):
+    """(oracle of the cycle, path counts, faults of its reduction), or None if irreducible."""
     reduced = cycle_reduce(graph.num_vertices, bounds)
     if reduced is None:
         return None
@@ -648,16 +603,12 @@ def _cycle_worker(task):
     if cyc_h != reduced_homology(pk):
         faults.append("homology differs")
     oracle = ClassOracle(wedge_profile(cyc_h), cyc_h.torsion, reduced_euler(cyc))
-    return oracle, faults, sphere_counts(path, path_bounds)
+    return oracle, sphere_counts(path, path_bounds), faults
 
 
-def _check_cycle(report, graph, bounds, _extra, result):
-    if result is None:
-        report.instances += 1
-        report.errors.append(_record(graph, bounds, {"reason": "not reducible"}))
-        return
-    oracle, faults, counts = result
-    _check_instance(report, graph, bounds, counts, oracle, faults=faults)
+def _cycle_task(face_cap: int, shards) -> list:
+    """(1, results) per shard: one cycle instance, repeated if listed twice."""
+    return [(1, [_cycle_worker(*members[0], face_cap)] * len(members)) for members in shards]
 
 
 def sweep_cycles(
@@ -685,8 +636,8 @@ def sweep_cycles(
         for last in last_bounds
     )
     return _sweep(
-        report, instances, _cycle_worker, _check_cycle, jobs, face_cap,
-        shard=lambda graph, bounds: (graph.num_vertices, bounds), key=None, counts=False,
+        report, instances, partial(_cycle_task, face_cap), jobs,
+        lambda graph, bounds: (graph.num_vertices, bounds),
     )
 
 
@@ -712,7 +663,4 @@ def sweep_random_forests(
             continue
         bounds = tuple(rng.randint(0, max_bound) for _ in range(forest.num_vertices))
         picked.append((forest, bounds, None))
-    return _sweep(
-        report, picked, _oracle_worker, _check_recursion, jobs, face_cap,
-        shard=_graph_shards(),
-    )
+    return _sweep(report, picked, partial(_forest_task, face_cap), jobs, _graph_shards())

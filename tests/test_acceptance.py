@@ -158,11 +158,17 @@ def test_criterion_6_matching_complexes_torsion_free():
     t0 = time.perf_counter()
     r = sweep_matching_caterpillars(3, 3, (1, 2, 3), jobs=JOBS)
     elapsed = time.perf_counter() - t0
-    ok = r.instances == 252 and not r.torsion_hits and r.ok
+    ok = (
+        r.instances == r.agreements == 252
+        and r.classes == 110
+        and not r.torsion_hits
+        and r.ok
+    )
     record(
         "6 (matching complexes wedge-consistent)",
         ok,
-        f"{r.instances} caterpillar matching instances, zero torsion; {elapsed:.0f}s",
+        f"{r.instances} caterpillar matching instances in {r.classes} classes, "
+        f"recursion = homology, zero torsion; {elapsed:.0f}s",
     )
 
 

@@ -514,6 +514,19 @@ class TestOptionRanges:
             (["verify", "cycles", "--last-bounds", "-1"], "--last-bounds"),
             (["verify", "matching", "--k", "-1"], "--k"),
             (["verify", "matching", "--k", "1,-2"], "--k"),
+            (["verify", "forests", "--max-edges", "-1"], "--max-edges"),
+            (["verify", "forests", "--raw-samples", "-1"], "--raw-samples"),
+            (["verify", "caterpillars", "--max-spine", "-1"], "--max-spine"),
+            (["verify", "caterpillars", "--max-leaves", "-1"], "--max-leaves"),
+            (["verify", "caterpillars", "--min-leaves", "-1"], "--min-leaves"),
+            (["verify", "cycles", "--max-n", "2"], "--max-n"),
+            (["verify", "matching", "--max-spine", "-1"], "--max-spine"),
+            (["verify", "matching", "--max-leaves", "-1"], "--max-leaves"),
+            (["verify", "random", "--count", "-1"], "--count"),
+            (["verify", "random", "--max-edges", "-1"], "--max-edges"),
+            (["verify", "random", "--jobs", "0"], "--jobs"),
+            (["verify", "forests", "--jobs", "-1"], "--jobs"),
+            (["batch", "--jobs", "-1"], "--jobs"),
         ],
     )
     def test_out_of_range_is_a_usage_error(self, capsys, argv, option):

@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 
 from bdcomplex import cli, harness
-from bdcomplex.graph import CaterpillarSpec, gen_caterpillar
+from bdcomplex.graph import CaterpillarSpec, gen_caterpillar, gen_cycle
 from bdcomplex.harness import (
     POOL_READ_AHEAD,
     pool_map,
@@ -158,6 +158,21 @@ class TestSweepFailures:
         assert reports[0].mismatches == reports[1].mismatches
         assert reports[0].to_json() == reports[1].to_json()
 
+    def test_matching_sweep_reports_a_wrong_count(self, monkeypatch):
+        corrupted = self._corrupt_single_edges(monkeypatch)
+        report = sweep_matching_caterpillars(1, 1, (1,))
+        self._assert_reported(report, corrupted)
+
+    def test_irreducible_cycle_is_an_error(self):
+        triangle = harness.instance_json(gen_cycle(3), (1, 1, 1))
+        reports = [sweep_cycles([3], 1, (1,), jobs=jobs) for jobs in (1, 2)]
+        for report in reports:
+            assert (report.instances, report.classes, report.agreements) == (4, 4, 3)
+            assert report.errors == [{"instance": triangle, "reason": "not reducible"}]
+            assert not (report.mismatches or report.torsion_hits or report.euler_failures)
+            assert report.ok is False
+        assert reports[0].to_json() == reports[1].to_json()
+
     def test_random_sweep_reports_a_wrong_count(self, monkeypatch):
         corrupted = self._corrupt_single_edges(monkeypatch)
         report = sweep_random_forests(30, 0, max_edges=1, max_bound=1)
@@ -205,3 +220,27 @@ class TestBenchmarkBindings:
             assert calls[name] >= 1, name
         assert rec.counters["faces"] == 10 + 10  # f-vectors (4, 5, 1) and (5, 5)
         assert rec.counters["boundary_nnz"] > 0
+
+    def test_traced_sweeps_record_their_pool_tasks(self):
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        rec = spans.Recorder()
+        uninstall = spans.install(rec)
+        try:
+            # through the harness module, whose names the tracer rebinds
+            reports = [
+                harness.sweep_forests(2, 1, raw_samples=0),
+                harness.sweep_caterpillars(1, 1, 1),
+                harness.sweep_cycles([3], 1, (2,)),
+                harness.sweep_matching_caterpillars(1, 1, (1,)),
+            ]
+        finally:
+            uninstall()
+        assert all(report.ok for report in reports)
+        calls = {name: row["calls"] for name, row in rec.summary().items()}
+        for name in ("forests", "caterpillars", "cycles", "matching"):
+            assert calls[f"harness.sweep.{name}"] == 1, name
+        assert calls["harness.pool_task.oracle"] + calls["harness.pool_task.matching"] > 0
+        assert calls["harness.pool_task.cycle"] > 0

@@ -10,6 +10,8 @@ from .complexes import (
     DEFAULT_FACE_CAP,
     SimplicialComplex,
     build_complex,
+    edge_face_counts,
+    excised_cells,
     reduced_euler,
 )
 from .graph import (
@@ -34,7 +36,9 @@ from .homology import (
     HomologyProfile,
     IntegerMatrix,
     boundary_matrix,
+    graph_homology,
     reduced_homology,
+    relative_homology,
     smith_normal_form,
     wedge_profile,
 )

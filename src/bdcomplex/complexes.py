@@ -5,15 +5,21 @@ of the graph) and its nonempty faces, grouped by dimension in the order the
 enumeration meets them, which is lexicographic within each layer.  The empty
 face is always present implicitly, so the complex consisting of nothing but
 the empty face has no layers at all.
+
+The homology oracle does not build the complex.  `edge_face_counts` counts
+the faces on each edge by a dynamic program over the edges, and
+`excised_cells` walks only the cells of the pair (K, st e) for the edge e
+in the most faces: the same face walk as `build_complex`, with e left out
+and a face kept only where an end of e has no budget left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import FaceCapExceededError
-from .graph import Graph, validate_bounds
+from .graph import DegreeBounds, Graph, validate_bounds
 
 Face = tuple[int, ...]
 
@@ -53,31 +59,22 @@ class SimplicialComplex:
         return frozenset(f for layer in self.faces_by_dim for f in layer)
 
 
-def build_complex(
-    graph: Graph, bounds: Sequence[int], face_cap: int = DEFAULT_FACE_CAP
+def _walk(
+    edges: Sequence[tuple[int, int]], budgets: list[int], face_cap: int, a: int, b: int
 ) -> SimplicialComplex:
-    """Bounded degree complex of a graph.
+    """Layers of the edge sets within `budgets` at which vertex a or b has no budget left.
 
-    Faces are the edge subsets in which every vertex keeps its induced degree
-    within its bound.  Enumeration extends subsets edge by edge in index
-    order, carrying per-vertex budgets, so only valid faces are ever visited,
-    and each face goes straight to its layer: the walk meets the faces in
-    lexicographic order.  Raises FaceCapExceededError when more than
-    `face_cap` faces would exist.
+    Depth-first over index-ordered subsets, without recursion: take edge i
+    when both budgets allow, and at the end of the edges drop the last one
+    taken and go on after it.  The walk meets the faces in lexicographic
+    order, and each one that is kept goes straight to its layer.  `budgets`
+    is restored on return.
     """
-    bounds = validate_bounds(graph, bounds)
-    if face_cap <= 0:
-        raise ValueError("face_cap must be positive")
-    edges = graph.edges
     m = len(edges)
-    budgets = list(bounds)
     layers: list[list[Face]] = []
     count = 0
     stack: list[int] = []
     i = 0
-    # depth-first over index-ordered subsets, without recursion: take edge i
-    # when both budgets allow, and at the end of the edges drop the last one
-    # taken and go on after it
     while True:
         if i < m:
             u, v = edges[i]
@@ -85,14 +82,15 @@ def build_complex(
                 budgets[u] -= 1
                 budgets[v] -= 1
                 stack.append(i)
-                if count == face_cap:
-                    raise FaceCapExceededError(
-                        f"more than {face_cap} faces in bounded degree complex"
-                    )
-                count += 1
-                if len(stack) > len(layers):
-                    layers.append([])
-                layers[len(stack) - 1].append(tuple(stack))
+                if not (budgets[a] and budgets[b]):
+                    if count == face_cap:
+                        raise FaceCapExceededError(
+                            f"more than {face_cap} faces in bounded degree complex"
+                        )
+                    count += 1
+                    while len(stack) > len(layers):
+                        layers.append([])
+                    layers[len(stack) - 1].append(tuple(stack))
             i += 1
             continue
         if not stack:
@@ -103,6 +101,139 @@ def build_complex(
         budgets[v] += 1
         i += 1
     return SimplicialComplex(m, tuple(map(tuple, layers)))
+
+
+def _checked(graph: Graph, bounds: Sequence[int], face_cap: int) -> DegreeBounds:
+    bounds = validate_bounds(graph, bounds)
+    if face_cap <= 0:
+        raise ValueError("face_cap must be positive")
+    return bounds
+
+
+def build_complex(
+    graph: Graph, bounds: Sequence[int], face_cap: int = DEFAULT_FACE_CAP
+) -> SimplicialComplex:
+    """Bounded degree complex of a graph.
+
+    Faces are the edge subsets in which every vertex keeps its induced degree
+    within its bound.  Enumeration extends subsets edge by edge in index
+    order, carrying per-vertex budgets, so only valid faces are ever visited.
+    Raises FaceCapExceededError when more than `face_cap` faces would exist.
+    """
+    bounds = _checked(graph, bounds, face_cap)
+    n = graph.num_vertices
+    # vertex n stands in for both ends of an excised edge: it has no budget,
+    # so every face is kept
+    return _walk(graph.edges, [*bounds, 0], face_cap, n, n)
+
+
+def edge_face_counts(
+    graph: Graph, bounds: Sequence[int], face_cap: int = DEFAULT_FACE_CAP
+) -> list[int]:
+    """The number of faces that contain each edge, without building a face.
+
+    Raises FaceCapExceededError, before any work on the later edges, when
+    the complex has more than `face_cap` faces.
+    """
+    return _edge_counts(graph, _checked(graph, bounds, face_cap), face_cap)
+
+
+def _edge_counts(graph: Graph, bounds: DegreeBounds, face_cap: int) -> list[int]:
+    """`edge_face_counts` on checked bounds: a forward and a backward pass over the edges.
+
+    A state is every vertex's remaining budget, capped at the number of its
+    edges still to come, so that states with the same future merge; it is
+    packed into one integer, a bit field per vertex.  A vertex whose bound
+    is at least its degree never runs out and has no field.  F_i(s) counts
+    the faces on the edges before i that end in state s and B_i(s) the ways
+    to extend s over the edges from i on, so the faces that contain edge i
+    number the sum over s of F_i(s) B_{i+1}(s with edge i taken).  The
+    forward totals count the faces on the edges before i, and
+    FaceCapExceededError is raised as soon as one passes `face_cap`, exactly
+    when `build_complex` would raise.
+    """
+    left = graph.degrees()  # each vertex's edges from the current one on
+    # per vertex: its field's offset and mask, the state change of taking one
+    # of its edges, and 1 when it never runs out
+    field = []
+    state = width = 0
+    for bound, degree in zip(bounds, left):
+        if bound >= degree:
+            field.append((0, 0, 0, 1))
+        else:
+            field.append((width, (1 << bound.bit_length()) - 1, 1 << width, 0))
+            state |= bound << width
+            width += bound.bit_length()
+    layer = {state: 1}
+    total = 1  # faces on the edges so far, the empty face included
+    steps = []  # per edge: its states, and where skipping and taking it lead
+    for u, v in graph.edges:
+        left[u] -= 1
+        left[v] -= 1
+        (ou, mu, du, fu), (ov, mv, dv, fv) = field[u], field[v]
+        lu, lv = left[u], left[v]
+        nxt: dict[int, int] = {}
+        moves = []
+        for s, c in layer.items():
+            bu = (s >> ou) & mu | fu
+            bv = (s >> ov) & mv | fv
+            skip = s
+            if bu > lu:  # a budget is at most one more than the edges left
+                skip -= du
+            if bv > lv:
+                skip -= dv
+            nxt[skip] = nxt.get(skip, 0) + c
+            take = -1
+            if bu and bv:
+                take = s - du - dv
+                nxt[take] = nxt.get(take, 0) + c
+                total += c
+            moves.append((skip, take))
+        if total - 1 > face_cap:
+            raise FaceCapExceededError(f"more than {face_cap} faces in bounded degree complex")
+        steps.append((layer, moves))
+        layer = nxt
+    counts = [0] * len(steps)
+    ways = {0: 1}  # after the last edge every field is 0
+    for i in range(len(steps) - 1, -1, -1):
+        layer, moves = steps[i]
+        before = {}
+        through = 0
+        for (s, c), (skip, take) in zip(layer.items(), moves):
+            w = ways[skip]
+            if take >= 0:
+                w_take = ways[take]
+                w += w_take
+                through += c * w_take
+            before[s] = w
+        counts[i] = through
+        ways = before
+    return counts
+
+
+def excised_cells(
+    graph: Graph, bounds: Sequence[int], face_cap: int = DEFAULT_FACE_CAP
+) -> Optional[SimplicialComplex]:
+    """The cells of the pair (K, st e), K the complex and e the edge in the most faces.
+
+    e is picked by `edge_face_counts` (the smallest edge on ties), which also
+    refuses an over-cap complex before any face is built.  A cell is a face
+    f whose union with e is not a face: f avoids e, and an end of e has no
+    budget left at f (with budget at both ends, f + e is a face).  The walk
+    of `build_complex` runs with e left out and keeps just those faces, so
+    they come in the order of its layers; the record is not closed under
+    taking faces.  None when K has no vertex, that is K = {empty face}.
+    """
+    bounds = _checked(graph, bounds, face_cap)
+    counts = _edge_counts(graph, bounds, face_cap)
+    if not any(counts):
+        return None
+    e = counts.index(max(counts))
+    a, b = graph.edges[e]
+    n = graph.num_vertices
+    edges = list(graph.edges)
+    edges[e] = (n, n)  # never taken: vertex n has no budget
+    return _walk(edges, [*bounds, 0], face_cap, a, b)
 
 
 def reduced_euler(k: SimplicialComplex) -> int:

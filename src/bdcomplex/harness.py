@@ -30,7 +30,7 @@ from functools import cached_property, partial
 from typing import Optional, Sequence
 
 from .caterpillar import caterpillar_closed_form, cycle_reduce
-from .complexes import DEFAULT_FACE_CAP, build_complex, reduced_euler
+from .complexes import DEFAULT_FACE_CAP, build_complex
 from .errors import MethodMismatchError, ParseError
 from .graph import (
     CaterpillarSpec,
@@ -46,7 +46,7 @@ from .graph import (
     random_forest,
     validate_bounds,
 )
-from .homology import HomologyProfile, reduced_homology, wedge_profile
+from .homology import HomologyProfile, graph_homology, wedge_profile
 from .recursion import SphereCounts, plan_counts, sphere_counts
 
 METHODS = ("auto", "recursion", "closed-form", "homology")
@@ -206,8 +206,7 @@ def compute_instance(
             raise MethodMismatchError("recursion applies to forests only")
         return done("recursion", sphere_counts(instance.graph, instance.bounds))
     if method == "homology":
-        k = build_complex(instance.graph, instance.bounds, face_cap)
-        profile = reduced_homology(k)
+        profile, _ = graph_homology(instance.graph, instance.bounds, face_cap)
         return done("homology", wedge_profile(profile), profile)
 
     # auto
@@ -222,8 +221,7 @@ def compute_instance(
         if reduced is not None:
             path, path_bounds, _ = reduced
             return done("cycle-reduce", sphere_counts(path, path_bounds))
-    k = build_complex(instance.graph, instance.bounds, face_cap)
-    profile = reduced_homology(k)
+    profile, _ = graph_homology(instance.graph, instance.bounds, face_cap)
     return done("homology", wedge_profile(profile), profile)
 
 
@@ -340,14 +338,20 @@ def _graph_shards():
     """shard(graph, bounds) naming the isomorphism class of the bare graph.
 
     The canonical code with all bounds 0 is computed once per distinct graph.
+    The generators list a graph's instances one after another, so the graph
+    is hashed (its whole edge tuple) only when it is not the last one seen.
     """
     names: dict[Graph, bytes] = {}
+    last_graph, last_name = None, b""
 
     def shard(graph: Graph, _bounds) -> bytes:
-        name = names.get(graph)
-        if name is None:
-            name = names[graph] = canonical_code(graph, (0,) * graph.num_vertices)
-        return name
+        nonlocal last_graph, last_name
+        if graph is not last_graph:
+            name = names.get(graph)
+            if name is None:
+                name = names[graph] = canonical_code(graph, (0,) * graph.num_vertices)
+            last_graph, last_name = graph, name
+        return last_name
 
     return shard
 
@@ -361,14 +365,16 @@ def _forest_task(face_cap: int, shards) -> list:
     member's result is (its class's oracle, its counts, no faults).
     """
     plans: dict = {}
+    plan = None
     done = []
     for members in shards:
         classes: dict = {}
         out = []
         for graph, bounds in members:
-            plan = plans.get(graph)
-            if plan is None:
-                plan = plans[graph] = forest_plan(graph)
+            if plan is None or plan.graph is not graph:  # a graph's members come in a row
+                plan = plans.get(graph)
+                if plan is None:
+                    plan = plans[graph] = forest_plan(graph)
             name = plan.code(plan.clamp(bounds))
             oracle = classes.get(name)
             if oracle is None:
@@ -428,9 +434,8 @@ def _sweep(report: VerifyReport, instances, run, jobs: int, shard) -> VerifyRepo
 
 
 def _oracle_worker(graph: Graph, bounds: DegreeBounds, face_cap: int) -> ClassOracle:
-    k = build_complex(graph, bounds, face_cap)
-    profile = reduced_homology(k)
-    return ClassOracle(wedge_profile(profile), profile.torsion, reduced_euler(k))
+    profile, euler = graph_homology(graph, bounds, face_cap)
+    return ClassOracle(wedge_profile(profile), profile.torsion, euler)
 
 
 # perfbench/spans.py binds this name for its `harness.pool_task.matching`
@@ -599,10 +604,10 @@ def _cycle_worker(graph: Graph, bounds: DegreeBounds, face_cap: int):
         faults.append("killed edge in face")
     elif {tuple(sorted(edge_map[i] for i in face)) for face in cyc_faces} != pk.face_set:
         faults.append("face sets differ")
-    cyc_h = reduced_homology(cyc)
-    if cyc_h != reduced_homology(pk):
+    cyc_h, euler = graph_homology(graph, bounds, face_cap)
+    if cyc_h != graph_homology(path, path_bounds, face_cap)[0]:
         faults.append("homology differs")
-    oracle = ClassOracle(wedge_profile(cyc_h), cyc_h.torsion, reduced_euler(cyc))
+    oracle = ClassOracle(wedge_profile(cyc_h), cyc_h.torsion, euler)
     return oracle, sphere_counts(path, path_bounds), faults
 
 

@@ -6,24 +6,30 @@ degree -1.  All arithmetic is exact, on Python integers, and matrices stay
 sparse throughout: a low-valence pass splits off every +-1 pivot, and a
 textbook Smith elimination, which takes its pivots from a lazy heap,
 handles the (usually tiny) remainder, so memory follows the number of
-nonzeros rather than rows x columns.  `reduced_homology` first excises the
-ground element e in the most faces: the reduced homology of K is that of
-the pair (del e, lk e), whose cells are the faces that avoid e and are not
-in lk(e), often a fifth to a half of the faces and none for a cone.  It
-then reduces the relative boundary matrices from the top dimension down
-and clears, that is never builds, the column of each cell that was the row
-of a +-1 pivot one dimension up.
+nonzeros rather than rows x columns.
+
+Every route's oracle is `graph_homology`, which never builds the complex
+K of a graph.  It excises the edge e in the most faces: the reduced
+homology of K is that of the pair (del e, lk e), whose cells are the faces
+that avoid e and are not in lk(e), often a fifth to a half of the faces
+and none for a cone, and `excised_cells` walks just those on the graph.
+`relative_homology` reduces the cells: the relative boundary matrices from
+the top dimension down, clearing, that is never building, the column of
+each cell that was the row of a +-1 pivot one dimension up.
+`reduced_homology` does the same excision on a complex given by its faces.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Collection, Optional
+from typing import Collection, Optional, Sequence
 
-from .complexes import SimplicialComplex
+from .complexes import DEFAULT_FACE_CAP, SimplicialComplex, excised_cells, reduced_euler
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -54,7 +60,7 @@ def boundary_matrix(k: SimplicialComplex, d: int, *, skip: Collection[int] = ())
     empty face when d = 0), columns by the d-faces.  The column of a face
     carries (-1)^j at the face obtained by removing its j-th smallest vertex.
     A boundary face that is not a row is dropped, so when `k` holds the cells
-    of a relative complex (see `reduced_homology`) this is the relative
+    of a relative complex (see `relative_homology`) this is the relative
     boundary; on a simplicial complex every boundary face is a row.  The
     columns whose indices are in `skip` are left empty.
     """
@@ -239,50 +245,18 @@ class HomologyProfile:
         return not self.torsion
 
 
-def _excise(k: SimplicialComplex) -> SimplicialComplex:
-    """The cells of the pair (K, st e), as layers in their stored order.
+def relative_homology(cells: SimplicialComplex) -> HomologyProfile:
+    """Homology of a relative complex (K, L), given by its cells, with L acyclic.
 
-    e is the ground element in the most faces, the smallest on ties.  A face
-    is a cell when it lies outside st(e), that is, when its union with e is
-    not a face: it avoids e and is not in lk(e).  The record is not closed
-    under taking faces; `boundary_matrix` drops the boundary faces that lie
-    in lk(e).  Each layer of lk(e) is built from the layer above it, and at
-    most two are held at once.
-    """
-    counts = [0] * k.ground_set
-    for x in chain.from_iterable(chain.from_iterable(k.faces_by_dim)):
-        counts[x] += 1
-    e = counts.index(max(counts))
-    layers = []
-    link: set = set()  # the faces of lk(e) one dimension below the layer above
-    for faces in reversed(k.faces_by_dim):
-        below = set()
-        kept = []
-        for f in faces:
-            if e in f:
-                i = f.index(e)
-                below.add(f[:i] + f[i + 1 :])
-            elif f not in link:
-                kept.append(f)
-        layers.append(tuple(kept))
-        link = below
-    return SimplicialComplex(k.ground_set, tuple(reversed(layers)))
+    The cells are the faces of K not in L, and the empty face lies in L, so
+    degree -1 has no cell and the boundary 0 is never built.  The relative
+    boundary is the boundary of K with the faces of L dropped, as
+    `boundary_matrix` builds it on the cells.  With L = st(e), a cone, the
+    result is the reduced homology of K in every degree, torsion included:
+    K is the union of del(e) and st(e), which meet in lk(e), so H~(K) =
+    H(K, st e) = H(del e, lk e).
 
-
-def reduced_homology(k: SimplicialComplex) -> HomologyProfile:
-    """Exact reduced integral homology of the augmented chain complex.
-
-    Excision first.  For the element e in the most faces, K is the union of
-    del(e) and the cone st(e), which meet in lk(e), so the augmented chains
-    of K modulo those of st(e) are the chains of del(e) modulo those of
-    lk(e), and as st(e) is acyclic, H~(K) = H(K, st e) = H(del e, lk e) in
-    every degree, torsion included.  That relative complex is free on the
-    faces that avoid e and are not in lk(e); its boundary is the boundary
-    of K with the faces of lk(e) dropped.  The empty face lies in lk(e), so
-    degree -1 has no cell and the boundary 0 is never built; only the
-    complex without a vertex keeps its class in degree -1.
-
-    The relative boundary operators are then reduced from the top dimension
+    The relative boundary operators are reduced from the top dimension
     down, and the column of every d-cell that was the row of a +-1 pivot of
     the boundary d+1 is never built (clearing, after Chen and Kerber).  This
     holds in any free chain complex with a basis: at its pivot each such
@@ -293,16 +267,13 @@ def reduced_homology(k: SimplicialComplex) -> HomologyProfile:
     unchanged.  The non-unit pivots of the exact phase clear nothing, as
     they give no such combination.
     """
-    top = k.dim
-    if top < 0:
-        return HomologyProfile({-1: 1}, {})
-    rel = _excise(k)
+    top = cells.dim
     ranks = [0] * (top + 2)  # rank of the relative boundary d; zero for d = 0
     torsion: dict[int, tuple[int, ...]] = {}
     cleared: set[int] = set()
     for d in range(top, 0, -1):
         unit_rows: list[int] = []
-        rank, factors = smith_normal_form(boundary_matrix(rel, d, skip=cleared), unit_rows=unit_rows)
+        rank, factors = smith_normal_form(boundary_matrix(cells, d, skip=cleared), unit_rows=unit_rows)
         cleared = set(unit_rows)
         ranks[d] = rank
         nontrivial = tuple(x for x in factors if x > 1)
@@ -311,10 +282,48 @@ def reduced_homology(k: SimplicialComplex) -> HomologyProfile:
     torsion = dict(sorted(torsion.items()))  # lowest dimension first, as reported
     betti = {}
     for d in range(top + 1):
-        b = len(rel.faces(d)) - ranks[d] - ranks[d + 1]
+        b = len(cells.faces(d)) - ranks[d] - ranks[d + 1]
         if b:
             betti[d] = b
     return HomologyProfile(betti, torsion)
+
+
+def graph_homology(
+    graph: Graph, bounds: Sequence[int], face_cap: int = DEFAULT_FACE_CAP
+) -> tuple[HomologyProfile, int]:
+    """Reduced homology and reduced Euler characteristic of the complex of a graph.
+
+    The oracle of every route: it reduces the cells of (K, st e) that
+    `excised_cells` walks, and never builds K.  The Euler characteristic is
+    the alternating count of those cells, which is that of K since st(e)
+    is a cone; it is independent of the Smith normal form.  Raises
+    FaceCapExceededError when K has more than `face_cap` faces.
+    """
+    cells = excised_cells(graph, bounds, face_cap)
+    if cells is None:  # K has no vertex: the empty face is its one class
+        return HomologyProfile({-1: 1}, {}), -1
+    # the cells leave out the empty face, which lies in st(e)
+    return relative_homology(cells), reduced_euler(cells) + 1
+
+
+def reduced_homology(k: SimplicialComplex) -> HomologyProfile:
+    """Exact reduced integral homology of a complex given by its faces.
+
+    The excision of `graph_homology` on a face list: for the element e in
+    the most faces (the smallest on ties), the cells are the faces whose
+    union with e is not a face, and `relative_homology` reduces them.  No
+    route calls it; it serves complexes that no graph gives, such as RP^2.
+    """
+    if k.dim < 0:
+        return HomologyProfile({-1: 1}, {})
+    faces = k.face_set
+    stars = Counter(chain.from_iterable(faces))
+    e = min(stars, key=lambda x: (-stars[x], x))
+    cells = tuple(
+        tuple(f for f in layer if e not in f and tuple(sorted((*f, e))) not in faces)
+        for layer in k.faces_by_dim
+    )
+    return relative_homology(SimplicialComplex(k.ground_set, cells))
 
 
 def wedge_profile(h: HomologyProfile) -> Optional[dict[int, int]]:

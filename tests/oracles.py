@@ -3,11 +3,13 @@
 Everything here deliberately avoids the code paths it is used to check:
 faces come from raw subset enumeration, ranks from Fraction elimination,
 Smith forms from a dense textbook reduction, reduced homology from every
-boundary matrix reduced whole (no clearing), isomorphism from explicit
-bijection search, sphere counts from the edge-by-edge recursion on whole
-forests, canonical codes from the recursive center-rooted encoding, caterpillar
-sphere counts from the sum over every spine-edge subset, and Euler
-characteristics from a signed count of faces.
+boundary matrix reduced whole (no clearing), an excision's cells from the
+link of the excised element in the whole complex and per-element face
+counts from its layers, isomorphism from explicit bijection search, sphere
+counts from the edge-by-edge recursion on whole forests, canonical codes
+from the recursive center-rooted encoding, caterpillar sphere counts from
+the sum over every spine-edge subset, and Euler characteristics from a
+signed count of faces.
 
 The complex tooling (a validating face-list builder, link, deletion and the
 grape decomposition witness, among others) works on the package's
@@ -439,6 +441,42 @@ def reference_reduced_homology(k) -> HomologyProfile:
         if b:
             betti[d] = b
     return HomologyProfile(betti, torsion)
+
+
+def reference_edge_face_counts(k: SimplicialComplex) -> list[int]:
+    """The number of faces of `k` that contain each ground element, from its layers."""
+    counts = [0] * k.ground_set
+    for layer in k.faces_by_dim:
+        for face in layer:
+            for x in face:
+                counts[x] += 1
+    return counts
+
+
+def reference_excise(k: SimplicialComplex) -> SimplicialComplex:
+    """The cells of the pair (K, st e) by the link of e, one layer of K per layer.
+
+    e is the ground element in the most faces, the smallest on ties.  A face
+    is a cell when it avoids e and is not in lk(e).  Each layer of lk(e) is
+    built from the layer above it, and at most two are held at once.  The
+    reference for the graph-side cell walk, `excised_cells`.
+    """
+    counts = reference_edge_face_counts(k)
+    e = counts.index(max(counts))
+    layers = []
+    link: set = set()  # the faces of lk(e) one dimension below the layer above
+    for faces in reversed(k.faces_by_dim):
+        below = set()
+        kept = []
+        for f in faces:
+            if e in f:
+                i = f.index(e)
+                below.add(f[:i] + f[i + 1 :])
+            elif f not in link:
+                kept.append(f)
+        layers.append(tuple(kept))
+        link = below
+    return SimplicialComplex(k.ground_set, tuple(reversed(layers)))
 
 
 def pick_recursion_edge(graph: Graph):

@@ -130,6 +130,47 @@ class TestCompute:
         assert obj["homology"] == {"betti": {"1": 1}, "torsion": {}}
         assert obj["spheres"] == {"1": 1}
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": 0, "edges": [], "lambda": []},
+            # every edge has an end with bound 0
+            {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "lambda": [0, 0, 2]},
+        ],
+    )
+    def test_complex_without_a_vertex_through_the_oracle(self, capsys, tmp_path, obj):
+        code, out, _ = run(capsys, ["compute", write_instance(tmp_path, obj), "--method", "homology"])
+        assert code == 0
+        result = json.loads(out)
+        assert result["homology"] == {"betti": {"-1": 1}, "torsion": {}}
+        assert result["spheres"] == {"-1": 1} and result["contractible"] is False
+
+    def test_over_cap_cycle_is_an_error_object_before_the_cell_walk(self):
+        # all-ones C60 has about 3.5e12 faces; the face counts refuse it
+        # before a face is built, so the cell walk, made to fail here, is
+        # never entered
+        body = textwrap.dedent(
+            """
+            from bdcomplex import complexes
+            from bdcomplex.cli import main
+
+            def walk(*args):
+                raise AssertionError("the cell walk was entered")
+
+            complexes._walk = walk
+            sys.exit(main(["compute", "-", "--face-cap", "200000"]))
+            """
+        )
+        proc = run_script(body, json.dumps({"cycle": {"n": 60, "lambda": [1] * 60}}))
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "error": {
+                "type": "FaceCapExceededError",
+                "message": "more than 200000 faces in bounded degree complex",
+            }
+        }
+        assert "Traceback" not in proc.stderr
+
     def test_contractible_instance(self, capsys, tmp_path):
         path = write_instance(
             tmp_path, {"n": 2, "edges": [[0, 1]], "lambda": [1, 1]}

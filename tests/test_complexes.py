@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdcomplex.complexes import build_complex, reduced_euler
+from bdcomplex.complexes import build_complex, edge_face_counts, excised_cells, reduced_euler
 from bdcomplex.errors import FaceCapExceededError
 from bdcomplex.graph import (
     CaterpillarSpec,
@@ -14,6 +14,7 @@ from bdcomplex.graph import (
     gen_caterpillar,
     gen_cycle,
     gen_path,
+    make_graph,
     nonisomorphic_forests,
     random_forest,
 )
@@ -31,6 +32,8 @@ from oracles import (
     has_face,
     link,
     maximal_faces,
+    reference_edge_face_counts,
+    reference_excise,
     vertices,
 )
 
@@ -86,6 +89,76 @@ class TestBuildComplex:
     def test_bad_bounds_length(self):
         with pytest.raises(ValueError):
             build_complex(gen_path(3), (1, 1))
+
+
+def graph_with_cycles(data):
+    """A cycle on some of 3..7 vertices, up to six chords, and bounds 0..3."""
+    n = data.draw(st.integers(3, 7))
+    cycle = data.draw(st.integers(3, n))
+    ring = {tuple(sorted((i, (i + 1) % cycle))) for i in range(cycle)}
+    chords = data.draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2))), max_size=6))
+    bounds = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    return make_graph(n, sorted(ring | chords)), bounds
+
+
+class TestExcisedCells:
+    """The face counts and cells of the oracle, taken on the graph, against the whole complex."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_matches_the_whole_complex_on_graphs_with_cycles(self, data):
+        g, b = graph_with_cycles(data)
+        k = build_complex(g, b)
+        assert edge_face_counts(g, b) == reference_edge_face_counts(k)
+        cells = excised_cells(g, b)
+        if k.dim < 0:
+            assert cells is None
+        else:
+            ref = reference_excise(k)
+            assert cells.ground_set == g.num_edges and cells.dim <= k.dim
+            assert [cells.faces(d) for d in range(k.dim + 1)] == list(ref.faces_by_dim)
+        size = k.num_faces
+        if size:
+            assert build_complex(g, b, face_cap=size) == k
+            assert edge_face_counts(g, b, face_cap=size) == reference_edge_face_counts(k)
+            assert excised_cells(g, b, face_cap=size) == cells
+        if size > 1:
+            for fn in (build_complex, edge_face_counts, excised_cells):
+                with pytest.raises(FaceCapExceededError, match=f"more than {size - 1} faces"):
+                    fn(g, b, face_cap=size - 1)
+
+    def test_complex_without_a_vertex(self):
+        assert edge_face_counts(Graph(0, ()), ()) == []
+        assert excised_cells(Graph(0, ()), ()) is None
+        # every edge has an end with bound 0
+        triangle = gen_cycle(3)
+        assert edge_face_counts(triangle, (0, 0, 2)) == [0, 0, 0]
+        assert excised_cells(triangle, (0, 0, 2)) is None
+
+    def test_cone_has_no_cells(self):
+        g, b = gen_caterpillar(CaterpillarSpec((3, 3, 3, 3, 1), (2,) * 5))
+        cells = excised_cells(g, b)
+        assert cells is not None and cells.num_faces == 0
+
+    def test_over_cap_cycle_is_refused_before_the_walk(self, monkeypatch):
+        from bdcomplex import complexes
+
+        def walk(*args):
+            raise AssertionError("the cell walk was entered")
+
+        monkeypatch.setattr(complexes, "_walk", walk)
+        # all-ones C60 has Lucas(60), about 3.5e12, faces
+        with pytest.raises(FaceCapExceededError, match="more than 200000 faces"):
+            excised_cells(gen_cycle(60), (1,) * 60, face_cap=200_000)
+
+    def test_tie_goes_to_the_smallest_edge(self):
+        # every edge of an all-ones C5 is in three faces: e = 0 = (0, 1), and
+        # the cells are the faces of del(0) that meet vertex 0 or 1
+        g = gen_cycle(5)
+        assert edge_face_counts(g, (1,) * 5) == [3] * 5
+        cells = excised_cells(g, (1,) * 5)
+        assert all(any(x in (0, 1) for i in f for x in g.edges[i]) for f in cells.face_set)
+        assert cells == reference_excise(build_complex(g, (1,) * 5))
 
 
 class TestComplexType:

@@ -8,6 +8,7 @@ import time
 from pathlib import Path
 
 from bdcomplex import cli, harness
+from bdcomplex.complexes import DEFAULT_FACE_CAP
 from bdcomplex.graph import CaterpillarSpec, gen_caterpillar, gen_cycle
 from bdcomplex.harness import (
     POOL_READ_AHEAD,
@@ -66,13 +67,13 @@ class TestPoolMap:
 
 class TestSweepFailures:
     def test_matching_duplicates_of_a_torsion_class_are_reported(self, monkeypatch):
-        real = harness.reduced_homology
+        real = harness.graph_homology
 
-        def torsion_everywhere(k):
-            profile = real(k)
-            return HomologyProfile(profile.betti, {**profile.torsion, 0: (2,)})
+        def torsion_everywhere(graph, bounds, face_cap):
+            profile, euler = real(graph, bounds, face_cap)
+            return HomologyProfile(profile.betti, {**profile.torsion, 0: (2,)}), euler
 
-        monkeypatch.setattr(harness, "reduced_homology", torsion_everywhere)
+        monkeypatch.setattr(harness, "graph_homology", torsion_everywhere)
         report = sweep_matching_caterpillars(2, 2, (1, 2))
         assert report.instances == 24 and report.classes < 24
         assert len(report.torsion_hits) == 24 and report.agreements == 0
@@ -203,22 +204,28 @@ class TestBenchmarkBindings:
             # boundary, so only this instance builds boundary nonzeros
             c5 = harness.parse_instance({"cycle": {"n": 5, "lambda": [1] * 5}})
             assert harness.compute_instance(c5, method="homology").homology.betti == {1: 1}
+            # the oracle walks only the cells of the graph; the cycle check
+            # still builds whole complexes, here of C3 with bounds (2, 1, 1)
+            # and of the path it reduces to
+            assert harness._cycle_worker(gen_cycle(3), (2, 1, 1), DEFAULT_FACE_CAP)[2] == []
         finally:
             uninstall()
         assert harness.compute_instance is original
+        for module, attr in spans.LAYERS.values():
+            assert hasattr(importlib.import_module(module), attr), (module, attr)
         calls = {name: row["calls"] for name, row in rec.summary().items()}
         for name in ("harness.parse_instance", "harness.compute_instance"):
             assert calls[name] == 3, name
         for name in (
             "recursion.sphere_counts",
-            "complexes.build_complex",
-            "homology.reduced_homology",
             "homology.boundary_matrix",
             "homology.smith_normal_form",
+            "harness.pool_task.cycle",
             "cli.result_json",
         ):
             assert calls[name] >= 1, name
-        assert rec.counters["faces"] == 10 + 10  # f-vectors (4, 5, 1) and (5, 5)
+        assert calls["complexes.build_complex"] == 2
+        assert rec.counters["faces"] == 4 + 4  # f-vectors (3, 1) and (3, 1)
         assert rec.counters["boundary_nnz"] > 0
 
     def test_traced_sweeps_record_their_pool_tasks(self):

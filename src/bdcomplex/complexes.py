@@ -10,7 +10,8 @@ The homology oracle does not build the complex.  `edge_face_counts` counts
 the faces on each edge by a dynamic program over the edges, and
 `excised_cells` walks only the cells of the pair (K, st e) for the edge e
 in the most faces: the same face walk as `build_complex`, with e left out
-and a face kept only where an end of e has no budget left.
+and a face kept only where an end of e has no budget left.  When K is the
+cone st(e), the counts show it and nothing is walked.
 """
 
 from __future__ import annotations
@@ -135,11 +136,11 @@ def edge_face_counts(
     Raises FaceCapExceededError, before any work on the later edges, when
     the complex has more than `face_cap` faces.
     """
-    return _edge_counts(graph, _checked(graph, bounds, face_cap), face_cap)
+    return _edge_counts(graph, _checked(graph, bounds, face_cap), face_cap)[0]
 
 
-def _edge_counts(graph: Graph, bounds: DegreeBounds, face_cap: int) -> list[int]:
-    """`edge_face_counts` on checked bounds: a forward and a backward pass over the edges.
+def _edge_counts(graph: Graph, bounds: DegreeBounds, face_cap: int) -> tuple[list[int], int]:
+    """`edge_face_counts` on checked bounds, and |K|: a forward and a backward pass over the edges.
 
     A state is every vertex's remaining budget, capped at the number of its
     edges still to come, so that states with the same future merge; it is
@@ -150,7 +151,7 @@ def _edge_counts(graph: Graph, bounds: DegreeBounds, face_cap: int) -> list[int]
     number the sum over s of F_i(s) B_{i+1}(s with edge i taken).  The
     forward totals count the faces on the edges before i, and
     FaceCapExceededError is raised as soon as one passes `face_cap`, exactly
-    when `build_complex` would raise.
+    when `build_complex` would raise; the last one is |K|, the empty face included.
     """
     left = graph.degrees()  # each vertex's edges from the current one on
     # per vertex: its field's offset and mask, the state change of taking one
@@ -208,7 +209,7 @@ def _edge_counts(graph: Graph, bounds: DegreeBounds, face_cap: int) -> list[int]
             before[s] = w
         counts[i] = through
         ways = before
-    return counts
+    return counts, total
 
 
 def excised_cells(
@@ -222,13 +223,17 @@ def excised_cells(
     budget left at f (with budget at both ends, f + e is a face).  The walk
     of `build_complex` runs with e left out and keeps just those faces, so
     they come in the order of its layers; the record is not closed under
-    taking faces.  None when K has no vertex, that is K = {empty face}.
+    taking faces.  None when K has no vertex, that is K = {empty face}, and
+    no walk when K is the cone st(e), that is |K| = 2 max(counts).
     """
     bounds = _checked(graph, bounds, face_cap)
-    counts = _edge_counts(graph, bounds, face_cap)
-    if not any(counts):
+    counts, total = _edge_counts(graph, bounds, face_cap)
+    top = max(counts, default=0)
+    if not top:
         return None
-    e = counts.index(max(counts))
+    if total == 2 * top:
+        return SimplicialComplex(graph.num_edges, ())
+    e = counts.index(top)
     a, b = graph.edges[e]
     n = graph.num_vertices
     edges = list(graph.edges)

@@ -245,23 +245,22 @@ class ForestPlan:
                 tree = []
         return tuple(out)
 
-    def clamp(self, bounds: Sequence[int]) -> DegreeBounds:
-        """Each bound capped at its vertex degree; the complex is unchanged."""
-        return tuple(map(min, bounds, self.degrees))
-
-    def code(self, bounds: Sequence[int]) -> CanonicalKey:
+    def code(self, bounds: Sequence[int], clamp: bool = False) -> CanonicalKey:
         """The canonical code of the forest under `bounds` (see canonical_code).
 
-        `bounds` must already be valid for the forest.
+        `bounds` must already be valid for the forest; with `clamp`, each is
+        capped at its vertex degree as it is encoded (the complex is the same).
         """
         kids: list[list[bytes]] = [[] for _ in self.degrees]
+        caps = self.degrees if clamp else None
 
         def vertex_code(v: int) -> bytes:
+            b = bounds[v] if caps is None or bounds[v] <= caps[v] else caps[v]
             below = kids[v]
             if not below:
-                return b"(%d:)" % bounds[v]
+                return b"(%d:)" % b
             below.sort()
-            return b"(%d:" % bounds[v] + b"".join(below) + b")"
+            return b"(%d:" % b + b"".join(below) + b")"
 
         trees = []
         for peel, centers in self.trees:

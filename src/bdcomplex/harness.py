@@ -375,7 +375,7 @@ def _forest_task(face_cap: int, shards) -> list:
                 plan = plans.get(graph)
                 if plan is None:
                     plan = plans[graph] = forest_plan(graph)
-            name = plan.code(plan.clamp(bounds))
+            name = plan.code(bounds, clamp=True)
             oracle = classes.get(name)
             if oracle is None:
                 oracle = classes[name] = _oracle_worker(graph, bounds, face_cap)

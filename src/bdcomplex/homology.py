@@ -3,19 +3,21 @@
 The chain complex is augmented: the empty face generates degree -1, so the
 complex consisting of only the empty face has one reduced homology class in
 degree -1.  All arithmetic is exact, on Python integers, and matrices stay
-sparse throughout: a low-valence pass splits off every +-1 pivot, and a
-textbook Smith elimination, which takes its pivots from a lazy heap,
-handles the (usually tiny) remainder, so memory follows the number of
-nonzeros rather than rows x columns.
+sparse throughout, stored as columns: `boundary_matrix` builds each column
+straight from the face's boundary faces, a low-valence pass splits off every
++-1 pivot by column operations, and a textbook Smith elimination, which
+takes its pivots from a lazy heap, handles the (usually tiny) remainder, so
+memory follows the number of nonzeros rather than rows x columns.
 
 Every route's oracle is `graph_homology`, which never builds the complex
 K of a graph.  It excises the edge e in the most faces: the reduced
 homology of K is that of the pair (del e, lk e), whose cells are the faces
-that avoid e and are not in lk(e), often a fifth to a half of the faces
-and none for a cone, and `excised_cells` walks just those on the graph.
-`relative_homology` reduces the cells: the relative boundary matrices from
-the top dimension down, clearing, that is never building, the column of
-each cell that was the row of a +-1 pivot one dimension up.
+that avoid e and are not in lk(e), often a fifth to a half of the faces,
+and `excised_cells` walks just those on the graph.  A cone has none, which
+the face counts show before any walk.  `relative_homology` reduces the
+cells: the relative boundary matrices from the top dimension down,
+clearing, that is never building, the column of each cell that was the
+row of a +-1 pivot one dimension up.
 `reduced_homology` does the same excision on a complex given by its faces.
 """
 
@@ -25,32 +27,40 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, combinations
 from typing import Collection, Optional, Sequence
 
 from .complexes import DEFAULT_FACE_CAP, SimplicialComplex, excised_cells, reduced_euler
 from .graph import Graph
 
 
-@dataclass(frozen=True)
 class IntegerMatrix:
-    """Sparse integer matrix; only nonzero entries are stored."""
+    """Sparse integer matrix in column form: `columns[j]` maps row i to a nonzero (i, j) entry.
 
-    rows: int
-    cols: int
-    entries: dict[tuple[int, int], int]
+    A column without nonzeros is absent.  `boundary_matrix` builds the
+    columns directly, `IntegerMatrix(rows, cols, entries)` from (i, j)-keyed
+    entries, dropping zeros; `entries` is that view, built on each read.
+    """
 
-    def __post_init__(self):
-        if any(v == 0 for v in self.entries.values()):
-            object.__setattr__(
-                self,
-                "entries",
-                {k: v for k, v in self.entries.items() if v != 0},
-            )
+    __slots__ = ("rows", "cols", "columns")
+
+    def __init__(
+        self, rows: int, cols: int, entries: Optional[dict] = None, *, columns: Optional[dict] = None
+    ):
+        if columns is None:
+            columns = {}
+            for (i, j), v in (entries or {}).items():
+                if v:
+                    columns.setdefault(j, {})[i] = v
+        self.rows, self.cols, self.columns = rows, cols, columns
+
+    @property
+    def entries(self) -> dict[tuple[int, int], int]:
+        return {(i, j): v for j, col in self.columns.items() for i, v in col.items()}
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self.columns.values()))
 
 
 def boundary_matrix(k: SimplicialComplex, d: int, *, skip: Collection[int] = ()) -> IntegerMatrix:
@@ -67,22 +77,18 @@ def boundary_matrix(k: SimplicialComplex, d: int, *, skip: Collection[int] = ())
     if d < 0:
         raise ValueError("boundary operators are indexed by d >= 0")
     col_faces = k.faces(d)
-    if d == 0:
-        entries = {(0, j): 1 for j in range(len(col_faces)) if j not in skip}
-        return IntegerMatrix(1, len(col_faces), entries)
-    row_faces = k.faces(d - 1)
+    row_faces = k.faces(d - 1) if d else ((),)
     row_index = {f: i for i, f in enumerate(row_faces)}.get
-    entries: dict[tuple[int, int], int] = {}
+    # combinations(face, d) removes the largest vertex first, the smallest last
+    signs = tuple(-1 if (d - j) % 2 else 1 for j in range(d + 1))
+    columns: dict[int, dict[int, int]] = {}
     for j, face in enumerate(col_faces):
-        if j in skip:
-            continue
-        sign = 1
-        for pos in range(len(face)):
-            i = row_index(face[:pos] + face[pos + 1 :])
-            if i is not None:
-                entries[(i, j)] = sign
-            sign = -sign
-    return IntegerMatrix(len(row_faces), len(col_faces), entries)
+        if j not in skip:
+            col = dict(zip(map(row_index, combinations(face, d)), signs))
+            col.pop(None, None)  # the boundary faces that are not rows
+            if col:
+                columns[j] = col
+    return IntegerMatrix(len(row_faces), len(col_faces), columns=columns)
 
 
 def _eliminate_units(m: IntegerMatrix) -> tuple[list[int], dict[tuple[int, int], int]]:
@@ -90,17 +96,18 @@ def _eliminate_units(m: IntegerMatrix) -> tuple[list[int], dict[tuple[int, int],
 
     Low-valence pivoting after Dumas, Heckenbach, Saunders and Welker: the
     column with the fewest nonzeros comes off a lazy heap first, and within it
-    the unit entry whose row has the fewest nonzeros, which keeps fill-in low.
-    Column operations clear the rest of the pivot row, after which the pivot
-    is alone in its row, so its row and column split off as one invariant
-    factor 1.  Returns the rows of the unit pivots, in pivot order, and the
-    entries left once no column holds a unit.
+    the unit entry whose row has the fewest nonzeros (the lowest row on
+    ties), which keeps fill-in low.  Column operations clear the rest of the
+    pivot row, after which the pivot is alone in its row, so its row and
+    column split off as one invariant factor 1.  Works on a copy of the
+    matrix's columns.  Returns the rows of the unit pivots, in pivot order,
+    and the entries left once no column holds a unit.
     """
-    cols: dict[int, dict[int, int]] = {}
-    row_cols: dict[int, set[int]] = {}
-    for (i, j), v in m.entries.items():
-        cols.setdefault(j, {})[i] = v
-        row_cols.setdefault(i, set()).add(j)
+    cols = {j: dict(col) for j, col in m.columns.items()}
+    row_cols: list[set[int]] = [set() for _ in range(m.rows)]
+    for j, col in cols.items():
+        for i in col:
+            row_cols[i].add(j)
     heap = [(len(col), j) for j, col in cols.items()]
     heapq.heapify(heap)
     pivot_rows: list[int] = []
@@ -109,15 +116,19 @@ def _eliminate_units(m: IntegerMatrix) -> tuple[list[int], dict[tuple[int, int],
         col = cols.get(c)
         if col is None or len(col) != size:
             continue  # eliminated, or changed since and queued again
-        unit_rows = [i for i, v in col.items() if v == 1 or v == -1]
-        if not unit_rows:
-            continue  # queued again if a later column operation changes it
-        r = min(unit_rows, key=lambda i: (len(row_cols[i]), i))
+        r = low = -1
+        for i, v in col.items():
+            if v == 1 or v == -1:
+                n = len(row_cols[i])
+                if r < 0 or n < low or (n == low and i < r):
+                    r, low = i, n
+        if r < 0:
+            continue  # no unit; queued again if a later column operation changes it
         s = col.pop(r)
         del cols[c]
         for i in col:
             row_cols[i].discard(c)
-        for j in row_cols.pop(r) - {c}:
+        for j in row_cols[r] - {c}:
             target = cols[j]
             f = target.pop(r) * s  # s * s == 1, so this clears target[r]
             for i, v in col.items():
@@ -133,8 +144,7 @@ def _eliminate_units(m: IntegerMatrix) -> tuple[list[int], dict[tuple[int, int],
             else:
                 del cols[j]
         pivot_rows.append(r)
-    leftover = {(i, j): v for j, col in cols.items() for i, v in col.items()}
-    return pivot_rows, leftover
+    return pivot_rows, IntegerMatrix(m.rows, m.cols, columns=cols).entries
 
 
 def _exact_snf(entries: dict[tuple[int, int], int]):

@@ -13,7 +13,8 @@ signed count of faces.
 
 The complex tooling (a validating face-list builder, link, deletion and the
 grape decomposition witness, among others) works on the package's
-`SimplicialComplex` record but is needed by no route of the package.
+`SimplicialComplex` record but is needed by no route of the package, and
+`graph_with_cycles` draws the graphs of the hypothesis tests on the oracle.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Iterable, Optional, Sequence
 
+from hypothesis import strategies as st
+
 from bdcomplex.complexes import Face, SimplicialComplex
 from bdcomplex.errors import BoundedDegreeError, NotAForestError
 from bdcomplex.graph import (
@@ -34,6 +37,7 @@ from bdcomplex.graph import (
     canonical_code,
     components,
     is_forest,
+    make_graph,
     validate_bounds,
 )
 from bdcomplex.homology import HomologyProfile, IntegerMatrix, boundary_matrix, smith_normal_form
@@ -217,7 +221,7 @@ def grape_witness(
 
 
 # ---------------------------------------------------------------------------
-# dense matrices, graph edits and bound edits
+# dense matrices, graph edits, bound edits and graph draws
 # ---------------------------------------------------------------------------
 
 
@@ -254,6 +258,16 @@ def decrement_bounds(bounds: Sequence[int], edge: tuple[int, int]) -> DegreeBoun
     out[u] -= 1
     out[v] -= 1
     return tuple(out)
+
+
+def graph_with_cycles(data) -> tuple[Graph, DegreeBounds]:
+    """Hypothesis draw: a cycle on some of 3..7 vertices, up to six chords, and bounds 0..3."""
+    n = data.draw(st.integers(3, 7))
+    cycle = data.draw(st.integers(3, n))
+    ring = {tuple(sorted((i, (i + 1) % cycle))) for i in range(cycle)}
+    chords = data.draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2))), max_size=6))
+    bounds = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    return make_graph(n, sorted(ring | chords)), bounds
 
 
 # ---------------------------------------------------------------------------

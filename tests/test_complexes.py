@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdcomplex.complexes import build_complex, edge_face_counts, excised_cells, reduced_euler
+from bdcomplex.complexes import (
+    SimplicialComplex,
+    build_complex,
+    edge_face_counts,
+    excised_cells,
+    reduced_euler,
+)
 from bdcomplex.errors import FaceCapExceededError
 from bdcomplex.graph import (
     CaterpillarSpec,
@@ -14,10 +20,10 @@ from bdcomplex.graph import (
     gen_caterpillar,
     gen_cycle,
     gen_path,
-    make_graph,
     nonisomorphic_forests,
     random_forest,
 )
+from bdcomplex.homology import HomologyProfile, graph_homology
 
 from oracles import (
     DepthCapExceededError,
@@ -29,6 +35,7 @@ from oracles import (
     f_vector,
     from_maximal_faces,
     grape_witness,
+    graph_with_cycles,
     has_face,
     link,
     maximal_faces,
@@ -91,16 +98,6 @@ class TestBuildComplex:
             build_complex(gen_path(3), (1, 1))
 
 
-def graph_with_cycles(data):
-    """A cycle on some of 3..7 vertices, up to six chords, and bounds 0..3."""
-    n = data.draw(st.integers(3, 7))
-    cycle = data.draw(st.integers(3, n))
-    ring = {tuple(sorted((i, (i + 1) % cycle))) for i in range(cycle)}
-    chords = data.draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2))), max_size=6))
-    bounds = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
-    return make_graph(n, sorted(ring | chords)), bounds
-
-
 class TestExcisedCells:
     """The face counts and cells of the oracle, taken on the graph, against the whole complex."""
 
@@ -150,6 +147,29 @@ class TestExcisedCells:
         # all-ones C60 has Lucas(60), about 3.5e12, faces
         with pytest.raises(FaceCapExceededError, match="more than 200000 faces"):
             excised_cells(gen_cycle(60), (1,) * 60, face_cap=200_000)
+
+    CONES = {
+        "caterpillar-m33331": gen_caterpillar(CaterpillarSpec((3, 3, 3, 3, 1), (2,) * 5)),
+        "C12-bound2": (gen_cycle(12), tuple(1 if i % 3 == 0 else 2 for i in range(12))),
+        "C13-bound2": (gen_cycle(13), tuple(1 if i % 3 == 0 else 2 for i in range(13))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONES))
+    def test_cone_is_answered_from_the_counts(self, name, monkeypatch):
+        from bdcomplex import complexes
+
+        g, b = self.CONES[name]
+        # K = st(e) for the edge e in the most faces: with the empty face,
+        # |K| = 2 max(counts)
+        assert 2 * max(edge_face_counts(g, b)) == build_complex(g, b).num_faces + 1
+
+        def walk(*args):
+            raise AssertionError("the cell walk was entered")
+
+        monkeypatch.setattr(complexes, "_walk", walk)
+        cells = excised_cells(g, b)
+        assert cells == SimplicialComplex(g.num_edges, ()) and cells.num_faces == 0
+        assert graph_homology(g, b) == (HomologyProfile({}, {}), 0)
 
     def test_tie_goes_to_the_smallest_edge(self):
         # every edge of an all-ones C5 is in three faces: e = 0 = (0, 1), and

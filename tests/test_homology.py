@@ -11,7 +11,7 @@ from bdcomplex import homology
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdcomplex.complexes import SimplicialComplex, build_complex
+from bdcomplex.complexes import SimplicialComplex, build_complex, reduced_euler
 from bdcomplex.graph import (
     CaterpillarSpec,
     gen_caterpillar,
@@ -23,6 +23,7 @@ from bdcomplex.homology import (
     HomologyProfile,
     IntegerMatrix,
     boundary_matrix,
+    graph_homology,
     reduced_homology,
     smith_normal_form,
     wedge_profile,
@@ -32,6 +33,7 @@ from oracles import (
     betti_via_fraction_rank,
     complex_from_faces,
     from_maximal_faces,
+    graph_with_cycles,
     matrix_from_dense,
     matrix_to_dense,
     naive_snf,
@@ -173,6 +175,19 @@ class TestSmithNormalForm:
             for d in range(0, k.dim + 1):
                 m = boundary_matrix(k, d)
                 assert smith_normal_form(m) == naive_snf(matrix_to_dense(m))
+
+    def test_columns_and_entries_eliminate_alike(self):
+        # a boundary matrix built in column form and the same matrix rebuilt
+        # from its (i, j) entries, row by row, go through one elimination
+        k = caterpillar_3333()
+        for d in range(k.dim + 1):
+            m = boundary_matrix(k, d)
+            rebuilt = IntegerMatrix(m.rows, m.cols, dict(sorted(m.entries.items())))
+            assert rebuilt.nnz == m.nnz and rebuilt.entries == m.entries
+            pivots, rebuilt_pivots = [], []
+            got = smith_normal_form(m, unit_rows=pivots)
+            assert got == smith_normal_form(rebuilt, unit_rows=rebuilt_pivots)
+            assert pivots == rebuilt_pivots and len(pivots) == got[0] > 0
 
 
 class TestReducedHomology:
@@ -360,6 +375,22 @@ class TestExcision:
         bounds = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
         k = build_complex(g, bounds)
         assert reduced_homology(k) == reference_reduced_homology(k)
+
+
+class TestGraphOracle:
+    """`graph_homology` end to end against the whole complex reduced without clearing."""
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_matches_reference_on_graphs(self, data):
+        if data.draw(st.booleans()):
+            g, b = graph_with_cycles(data)
+        else:  # bounds 0..2, mostly 1, so that fewer forests give a cone
+            g = random_forest(random.Random(data.draw(st.integers(0, 2**16))), data.draw(st.integers(4, 12)))
+            bound = st.sampled_from((1, 2, 1, 0))
+            b = tuple(data.draw(st.lists(bound, min_size=g.num_vertices, max_size=g.num_vertices)))
+        k = build_complex(g, b)
+        assert graph_homology(g, b) == (reference_reduced_homology(k), reduced_euler(k))
 
 
 class TestWedgeProfile:

@@ -273,7 +273,8 @@ class TestForestPlan:
 
     def test_clamp_caps_at_degree(self):
         plan = forest_plan(gen_path(3))
-        assert plan.clamp((3, 3, 0)) == (1, 2, 0)
+        assert plan.code((3, 3, 0), clamp=True) == plan.code((1, 2, 0))
+        assert plan.code((3, 3, 0)) != plan.code((1, 2, 0))
 
     def test_forest_required(self):
         with pytest.raises(NotAForestError):

@@ -14,10 +14,10 @@ K of a graph.  It excises the edge e in the most faces: the reduced
 homology of K is that of the pair (del e, lk e), whose cells are the faces
 that avoid e and are not in lk(e), often a fifth to a half of the faces,
 and `excised_cells` walks just those on the graph.  A cone has none, which
-the face counts show before any walk.  `relative_homology` reduces the
-cells: the relative boundary matrices from the top dimension down,
-clearing, that is never building, the column of each cell that was the
-row of a +-1 pivot one dimension up.
+the face counts show before any walk.  `relative_homology` pairs cells
+off by element matchings, and reduces only the boundaries that the pairs
+leave open, from the top dimension down, clearing, that is never building,
+the columns that the dimension above shows to be redundant.
 `reduced_homology` does the same excision on a complex given by its faces.
 """
 
@@ -255,6 +255,29 @@ class HomologyProfile:
         return not self.torsion
 
 
+def _element_matching(cells: SimplicialComplex) -> tuple[list[int], list[set[int]]]:
+    """Per dimension d, the number of critical d-cells and the indices of the d-cells paired up.
+
+    Jonsson's element matchings on edge bitmasks: for each x in index order,
+    an unpaired cell f without x pairs with f + x if that is unpaired too,
+    until no two unpaired cells lie in adjacent dimensions.
+    """
+    layers, bits = cells.faces_by_dim, [1 << x for x in range(cells.ground_set)]
+    unmatched = {sum(map(bits.__getitem__, f)): j for layer in layers for j, f in enumerate(layer)}
+    crit = [*map(len, layers), 0]
+    up: list[set[int]] = [set() for _ in crit]
+    for bit in bits:
+        if not any(map(min, zip(crit, crit[1:]))):
+            break
+        for f in [f for f in unmatched if not f & bit and f | bit in unmatched]:
+            d = f.bit_count() - 1
+            del unmatched[f | bit]
+            up[d].add(unmatched.pop(f))
+            crit[d] -= 1
+            crit[d + 1] -= 1
+    return crit, up
+
+
 def relative_homology(cells: SimplicialComplex) -> HomologyProfile:
     """Homology of a relative complex (K, L), given by its cells, with L acyclic.
 
@@ -266,22 +289,30 @@ def relative_homology(cells: SimplicialComplex) -> HomologyProfile:
     K is the union of del(e) and st(e), which meet in lk(e), so H~(K) =
     H(K, st e) = H(del e, lk e).
 
-    The relative boundary operators are reduced from the top dimension
-    down, and the column of every d-cell that was the row of a +-1 pivot of
-    the boundary d+1 is never built (clearing, after Chen and Kerber).  This
-    holds in any free chain complex with a basis: at its pivot each such
-    column is a boundary that is +-1 on its own row and 0 on the rows of the
-    earlier pivots, so every cleared cell is an integer combination of kept
-    cells plus a boundary, and its column of the boundary d lies in the
-    integer span of the kept ones.  Rank and invariant factors are
-    unchanged.  The non-unit pivots of the exact phase clear nothing, as
-    they give no such combination.
+    A run of element matchings is acyclic (Jonsson, Simplicial Complexes of
+    Graphs, LNM 1928, 2008) and pairs cells at +-1 entries, so a change of
+    basis splits the chains into the Morse complex on the critical cells
+    (Forman, Adv. Math. 1998) and one isomorphism Z -> Z per pair.  Where
+    dimension d or d-1 has no critical cell, the boundary d thus has no
+    torsion and a rank of p_d, its pairs of a (d-1)- and a d-cell.
+
+    The other boundaries are reduced from the top down without the columns
+    of a set U of d-cells (clearing, after Chen and Kerber): the rows of the
+    +-1 pivots of the boundary d+1 if that was reduced, else the d-cells
+    paired upward.  U is unit-triangular against the boundary d+1 (in pivot
+    order, or in an order the acyclic matching gives), so each cell of U is,
+    up to a boundary, an integer sum of cells outside U, and its column is
+    an integer combination of the columns kept.
     """
     top = cells.dim
+    crit, up = _element_matching(cells) if top > 0 else ((), ())  # top < 1 builds no boundary
     ranks = [0] * (top + 2)  # rank of the relative boundary d; zero for d = 0
     torsion: dict[int, tuple[int, ...]] = {}
     cleared: set[int] = set()
     for d in range(top, 0, -1):
+        if not (crit[d] and crit[d - 1]):
+            ranks[d], cleared = len(up[d - 1]), up[d - 1]
+            continue
         unit_rows: list[int] = []
         rank, factors = smith_normal_form(boundary_matrix(cells, d, skip=cleared), unit_rows=unit_rows)
         cleared = set(unit_rows)
@@ -290,11 +321,7 @@ def relative_homology(cells: SimplicialComplex) -> HomologyProfile:
         if nontrivial:
             torsion[d - 1] = nontrivial
     torsion = dict(sorted(torsion.items()))  # lowest dimension first, as reported
-    betti = {}
-    for d in range(top + 1):
-        b = len(cells.faces(d)) - ranks[d] - ranks[d + 1]
-        if b:
-            betti[d] = b
+    betti = {d: b for d in range(top + 1) if (b := len(cells.faces(d)) - ranks[d] - ranks[d + 1])}
     return HomologyProfile(betti, torsion)
 
 

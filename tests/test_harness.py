@@ -201,9 +201,13 @@ class TestBenchmarkBindings:
             assert res.homology.betti == {1: 1}
             cli.result_json(two_spine, res)
             # the two-spine circle is one relative 1-cell with an empty
-            # boundary, so only this instance builds boundary nonzeros
+            # boundary, and C5's cells pair off but for one 1-cell, so neither
+            # builds a matrix; caterpillar m=(3, 3) keeps critical cells in
+            # dimensions 2 and 3 and builds the boundary 3
             c5 = harness.parse_instance({"cycle": {"n": 5, "lambda": [1] * 5}})
             assert harness.compute_instance(c5, method="homology").homology.betti == {1: 1}
+            m33 = harness.parse_instance({"caterpillar": {"m": [3, 3], "lambda": [2, 2]}})
+            assert harness.compute_instance(m33, method="homology").homology.betti == {2: 4, 3: 1}
             # the oracle walks only the cells of the graph; the cycle check
             # still builds whole complexes, here of C3 with bounds (2, 1, 1)
             # and of the path it reduces to
@@ -215,7 +219,7 @@ class TestBenchmarkBindings:
             assert hasattr(importlib.import_module(module), attr), (module, attr)
         calls = {name: row["calls"] for name, row in rec.summary().items()}
         for name in ("harness.parse_instance", "harness.compute_instance"):
-            assert calls[name] == 3, name
+            assert calls[name] == 4, name
         for name in (
             "recursion.sphere_counts",
             "homology.boundary_matrix",

@@ -11,7 +11,7 @@ from bdcomplex import homology
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdcomplex.complexes import SimplicialComplex, build_complex, reduced_euler
+from bdcomplex.complexes import SimplicialComplex, build_complex, excised_cells, reduced_euler
 from bdcomplex.graph import (
     CaterpillarSpec,
     gen_caterpillar,
@@ -273,6 +273,19 @@ def record_boundaries(monkeypatch):
     return built, cells
 
 
+def record_cells(monkeypatch):
+    """Record each cell record the oracle reduces, whether or not it builds a matrix."""
+    real = homology.relative_homology
+    cells = []
+
+    def recording(k):
+        cells.append(k)
+        return real(k)
+
+    monkeypatch.setattr(homology, "relative_homology", recording)
+    return cells
+
+
 class TestClearing:
     CASES = {
         "K7-matching": lambda: build_complex(
@@ -305,11 +318,13 @@ class TestClearing:
         real = homology.boundary_matrix
         built, cells = record_boundaries(monkeypatch)
         reduced_homology(k)
-        assert [d for _, d in built] == list(range(k.dim, 0, -1))
+        # the critical cells of the element matching lie in dimensions 4..7,
+        # so the boundaries 4..1 are not built
+        assert [d for _, d in built] == [7, 6, 5]
         full = sum(real(k, d).nnz for d in range(k.dim + 1))
         nnz = sum(m.nnz for m, _ in built)
         assert nnz < 0.6 * full
-        assert nnz < 0.15 * full  # 2,437 of 26,700 nonzeros
+        assert nnz < 0.15 * full  # 1,993 of 26,700 nonzeros
         (rel,) = cells
         # the same cells' uncleared matrices have 4,137
         assert nnz < sum(real(rel, d).nnz for d in range(1, k.dim + 1))
@@ -337,7 +352,7 @@ class TestExcision:
     def test_cell_count(self, name, monkeypatch):
         make, expected = self.CELLS[name]
         k = make()
-        _, cells = record_boundaries(monkeypatch)
+        cells = record_cells(monkeypatch)
         h = reduced_homology(k)
         (rel,) = cells
         # a face and its union with e pair off, the empty face with {e}
@@ -377,20 +392,81 @@ class TestExcision:
         assert reduced_homology(k) == reference_reduced_homology(k)
 
 
+def draw_graph(data):
+    """Hypothesis draw: a graph with cycles, or a forest with bounds 0..2."""
+    if data.draw(st.booleans()):
+        return graph_with_cycles(data)
+    # mostly 1, so that fewer forests give a cone
+    g = random_forest(random.Random(data.draw(st.integers(0, 2**16))), data.draw(st.integers(4, 12)))
+    bound = st.sampled_from((1, 2, 1, 0))
+    return g, tuple(data.draw(st.lists(bound, min_size=g.num_vertices, max_size=g.num_vertices)))
+
+
 class TestGraphOracle:
     """`graph_homology` end to end against the whole complex reduced without clearing."""
 
     @settings(max_examples=400, deadline=None, database=None, derandomize=True)
     @given(st.data())
     def test_matches_reference_on_graphs(self, data):
-        if data.draw(st.booleans()):
-            g, b = graph_with_cycles(data)
-        else:  # bounds 0..2, mostly 1, so that fewer forests give a cone
-            g = random_forest(random.Random(data.draw(st.integers(0, 2**16))), data.draw(st.integers(4, 12)))
-            bound = st.sampled_from((1, 2, 1, 0))
-            b = tuple(data.draw(st.lists(bound, min_size=g.num_vertices, max_size=g.num_vertices)))
+        g, b = draw_graph(data)
         k = build_complex(g, b)
         assert graph_homology(g, b) == (reference_reduced_homology(k), reduced_euler(k))
+
+
+class TestElementMatching:
+    """The oracle pairs cells off by element matchings before it builds a matrix."""
+
+    CASES = {
+        "C14-ones": (gen_cycle(14), (1,) * 14, HomologyProfile({4: 1}, {}), 1),
+        "C18-ones": (gen_cycle(18), (1,) * 18, HomologyProfile({5: 2}, {}), -2),
+        "K8-matching": (
+            make_graph(8, list(itertools.combinations(range(8), 2))), (1,) * 8,
+            HomologyProfile({2: 132}, {}), 132,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_critical_cells_in_one_dimension_build_no_matrix(self, name, monkeypatch):
+        g, b, profile, euler = self.CASES[name]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("boundary matrix built")
+
+        monkeypatch.setattr(homology, "boundary_matrix", refuse)
+        assert graph_homology(g, b) == (profile, euler)
+
+    def test_cells_paired_upward_are_cleared(self, monkeypatch):
+        # critical cells in dimensions 2 and 3 only: the boundary 4 is not
+        # built, and the boundary 3 is built without the four 3-cells paired
+        # with 4-cells
+        g = make_graph(7, [(0, 3), (0, 5), (0, 6), (1, 2), (1, 3), (2, 3), (2, 6), (3, 4), (4, 5), (5, 6)])
+        b = (3, 1, 4, 2, 3, 1, 1)
+        real = homology.boundary_matrix
+        built = []
+
+        def recording(k, d, *, skip=()):
+            built.append((d, len(skip)))
+            return real(k, d, skip=skip)
+
+        monkeypatch.setattr(homology, "boundary_matrix", recording)
+        h, euler = graph_homology(g, b)
+        assert built == [(3, 4)]
+        k = build_complex(g, b)
+        assert h == reference_reduced_homology(k) == HomologyProfile({2: 2, 3: 2}, {})
+        assert euler == reduced_euler(k)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_morse_inequalities(self, data):
+        g, b = draw_graph(data)
+        cells = excised_cells(g, b)
+        if cells is None:
+            return
+        crit, _ = homology._element_matching(cells)
+        # the cells leave out the empty face, which reduced_euler counts
+        assert sum((-1) ** d * c for d, c in enumerate(crit)) == reduced_euler(cells) + 1
+        betti = homology.relative_homology(cells).betti
+        assert all(betti.get(d, 0) <= c for d, c in enumerate(crit))
 
 
 class TestWedgeProfile:

@@ -2,9 +2,10 @@
 
 A complex is the record `build_complex` produces: its ground set (the edges
 of the graph) and its nonempty faces, grouped by dimension in the order the
-enumeration meets them, which is lexicographic within each layer.  The empty
-face is always present implicitly, so the complex consisting of nothing but
-the empty face has no layers at all.
+enumeration meets them, lexicographic within each layer, each face an edge
+bitmask (bit i set when edge i is in it).  The empty face is always present
+implicitly, so the complex consisting of nothing but the empty face has no
+layers at all.
 
 The homology oracle does not build the complex.  `edge_face_counts` counts
 the faces on each edge by a dynamic program over the edges, and
@@ -22,18 +23,20 @@ from typing import Optional, Sequence
 from .errors import FaceCapExceededError
 from .graph import DegreeBounds, Graph, validate_bounds
 
-Face = tuple[int, ...]
+Face = int  # an edge bitmask: bit i is set when edge i is in the face
 
 DEFAULT_FACE_CAP = 5_000_000
+
+_BITS = tuple(1 << i for i in range(64))  # edge i's bit, for the walks of up to 64 edges
 
 
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Layered faces of a simplicial complex on the ground set 0..ground_set-1.
 
-    `faces_by_dim[d]` lists the d-dimensional faces as increasing index
-    tuples, lexicographically ordered.  Ground-set elements that appear in
-    no face are allowed; they simply are not vertices of the complex.
+    `faces_by_dim[d]` lists the d-dimensional faces as bitmasks, in the
+    lexicographic order of their index tuples.  Ground-set elements that
+    appear in no face are allowed; they simply are not vertices of the complex.
     """
 
     ground_set: int
@@ -68,14 +71,15 @@ def _walk(
     Depth-first over index-ordered subsets, without recursion: take edge i
     when both budgets allow, and at the end of the edges drop the last one
     taken and go on after it.  The walk meets the faces in lexicographic
-    order, and each one that is kept goes straight to its layer.  `budgets`
-    is restored on return.
+    order, and each one that is kept goes straight to its layer as the
+    bitmask of the edges taken.  `budgets` is restored on return.
     """
     m = len(edges)
+    bits = _BITS if m <= len(_BITS) else [1 << i for i in range(m)]
     layers: list[list[Face]] = []
     count = 0
     stack: list[int] = []
-    i = 0
+    mask = i = 0
     while True:
         if i < m:
             u, v = edges[i]
@@ -83,6 +87,7 @@ def _walk(
                 budgets[u] -= 1
                 budgets[v] -= 1
                 stack.append(i)
+                mask += bits[i]
                 if not (budgets[a] and budgets[b]):
                     if count == face_cap:
                         raise FaceCapExceededError(
@@ -91,12 +96,13 @@ def _walk(
                     count += 1
                     while len(stack) > len(layers):
                         layers.append([])
-                    layers[len(stack) - 1].append(tuple(stack))
+                    layers[len(stack) - 1].append(mask)
             i += 1
             continue
         if not stack:
             break
         i = stack.pop()
+        mask -= bits[i]
         u, v = edges[i]
         budgets[u] += 1
         budgets[v] += 1

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 from .caterpillar import caterpillar_closed_form, cycle_reduce
 from .complexes import DEFAULT_FACE_CAP, build_complex
-from .errors import MethodMismatchError, ParseError
+from .errors import MethodMismatchError, NotAForestError, ParseError
 from .graph import (
     CaterpillarSpec,
     DegreeBounds,
@@ -40,7 +40,6 @@ from .graph import (
     forest_plan,
     gen_caterpillar,
     gen_cycle,
-    is_forest,
     make_graph,
     nonisomorphic_forests,
     random_forest,
@@ -195,25 +194,23 @@ def compute_instance(
             return ComputeResult(tag, None, None, homology, False, timings)
         return ComputeResult(tag, counts, not counts, homology, True, timings)
 
+    spec = instance.cat_spec
+    if method in ("auto", "closed-form") and spec is not None and all(m >= 1 for m in spec.m):
+        return done("closed-form", caterpillar_closed_form(spec))
     if method == "closed-form":
-        if instance.cat_spec is None or any(m == 0 for m in instance.cat_spec.m):
-            raise MethodMismatchError(
-                "closed-form needs a caterpillar shorthand with every m_i >= 1"
-            )
-        return done("closed-form", caterpillar_closed_form(instance.cat_spec))
-    if method == "recursion":
-        if not is_forest(instance.graph):
-            raise MethodMismatchError("recursion applies to forests only")
-        return done("recursion", sphere_counts(instance.graph, instance.bounds))
+        raise MethodMismatchError("closed-form needs a caterpillar shorthand with every m_i >= 1")
     if method == "homology":
         profile, _ = graph_homology(instance.graph, instance.bounds, face_cap)
         return done("homology", wedge_profile(profile), profile)
 
-    # auto
-    if instance.cat_spec is not None and all(m >= 1 for m in instance.cat_spec.m):
-        return done("closed-form", caterpillar_closed_form(instance.cat_spec))
-    if is_forest(instance.graph):
-        return done("recursion", sphere_counts(instance.graph, instance.bounds))
+    # recursion, or auto: one plan per instance, whose edge count is the forest test
+    try:
+        plan = forest_plan(instance.graph)
+    except NotAForestError:
+        if method == "recursion":
+            raise MethodMismatchError("recursion applies to forests only") from None
+    else:
+        return done("recursion", plan_counts(plan, instance.bounds))
     order = _cycle_order(instance.graph)
     if order is not None:
         bounds = tuple(instance.bounds[v] for v in order)
@@ -600,9 +597,11 @@ def _cycle_worker(graph: Graph, bounds: DegreeBounds, face_cap: int):
     pk = build_complex(path, path_bounds, face_cap)
     faults = []
     cyc_faces = cyc.face_set
-    if any(edge_map[i] is None for face in cyc_faces for i in face):
+    killed = sum(1 << i for i, j in enumerate(edge_map) if j is None)
+    moves = [(1 << i, 1 << j) for i, j in enumerate(edge_map) if j is not None]
+    if any(face & killed for face in cyc_faces):
         faults.append("killed edge in face")
-    elif {tuple(sorted(edge_map[i] for i in face)) for face in cyc_faces} != pk.face_set:
+    elif {sum(to for bit, to in moves if face & bit) for face in cyc_faces} != pk.face_set:
         faults.append("face sets differ")
     cyc_h, euler = graph_homology(graph, bounds, face_cap)
     # equal face sets make one complex, so only a fault asks for the path's homology

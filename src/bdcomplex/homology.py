@@ -4,10 +4,10 @@ The chain complex is augmented: the empty face generates degree -1, so the
 complex consisting of only the empty face has one reduced homology class in
 degree -1.  All arithmetic is exact, on Python integers, and matrices stay
 sparse throughout, stored as columns: `boundary_matrix` builds each column
-straight from the face's boundary faces, a low-valence pass splits off every
-+-1 pivot by column operations, and a textbook Smith elimination, which
-takes its pivots from a lazy heap, handles the (usually tiny) remainder, so
-memory follows the number of nonzeros rather than rows x columns.
+straight from the set bits of the face's edge bitmask, a low-valence pass
+splits off every +-1 pivot by column operations, and a textbook Smith
+elimination, which takes its pivots from a lazy heap, handles the (usually
+tiny) remainder, so memory follows the number of nonzeros, not rows x columns.
 
 Every route's oracle is `graph_homology`, which never builds the complex
 K of a graph.  It excises the edge e in the most faces: the reduced
@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from functools import reduce
+from itertools import chain
+from operator import or_
 from typing import Collection, Optional, Sequence
 
 from .complexes import DEFAULT_FACE_CAP, SimplicialComplex, excised_cells, reduced_euler
@@ -67,25 +68,28 @@ def boundary_matrix(k: SimplicialComplex, d: int, *, skip: Collection[int] = ())
     """Boundary operator from d-faces to (d-1)-faces of the augmented complex.
 
     Rows are indexed by the (d-1)-faces in their stored order (the single
-    empty face when d = 0), columns by the d-faces.  The column of a face
-    carries (-1)^j at the face obtained by removing its j-th smallest vertex.
-    A boundary face that is not a row is dropped, so when `k` holds the cells
-    of a relative complex (see `relative_homology`) this is the relative
-    boundary; on a simplicial complex every boundary face is a row.  The
-    columns whose indices are in `skip` are left empty.
+    empty face, mask 0, when d = 0), columns by the d-faces.  The column of
+    a face carries (-1)^j at the face without its j-th smallest element,
+    its j-th set bit.  A boundary face that is not a row is dropped, so when
+    `k` holds the cells of a relative complex (see `relative_homology`) this
+    is the relative boundary; on a simplicial complex every boundary face is
+    a row.  The columns whose indices are in `skip` are left empty.
     """
     if d < 0:
         raise ValueError("boundary operators are indexed by d >= 0")
     col_faces = k.faces(d)
-    row_faces = k.faces(d - 1) if d else ((),)
+    row_faces = k.faces(d - 1) if d else (0,)
     row_index = {f: i for i, f in enumerate(row_faces)}.get
-    # combinations(face, d) removes the largest vertex first, the smallest last
-    signs = tuple(-1 if (d - j) % 2 else 1 for j in range(d + 1))
     columns: dict[int, dict[int, int]] = {}
     for j, face in enumerate(col_faces):
         if j not in skip:
-            col = dict(zip(map(row_index, combinations(face, d)), signs))
-            col.pop(None, None)  # the boundary faces that are not rows
+            col, sign, rest = {}, 1, face
+            while rest:
+                low = rest & (rest - 1)  # rest without its lowest bit
+                i = row_index(face ^ rest ^ low)
+                if i is not None:  # a boundary face that is not a row is dropped
+                    col[i] = sign
+                sign, rest = -sign, low
             if col:
                 columns[j] = col
     return IntegerMatrix(len(row_faces), len(col_faces), columns=columns)
@@ -258,24 +262,29 @@ class HomologyProfile:
 def _element_matching(cells: SimplicialComplex) -> tuple[list[int], list[set[int]]]:
     """Per dimension d, the number of critical d-cells and the indices of the d-cells paired up.
 
-    Jonsson's element matchings on edge bitmasks: for each x in index order,
-    an unpaired cell f without x pairs with f + x if that is unpaired too,
-    until no two unpaired cells lie in adjacent dimensions.
+    Jonsson's element matchings on the cells' bitmasks: for each x in index
+    order that lies in some cell (the excised edge never does), an unpaired
+    cell f without x pairs with f + x if that is unpaired too, until no two
+    unpaired cells lie in adjacent dimensions.  The pairs of one x are
+    disjoint, so two adjacent layers are scanned from the smaller one.
     """
-    layers, bits = cells.faces_by_dim, [1 << x for x in range(cells.ground_set)]
-    unmatched = {sum(map(bits.__getitem__, f)): j for layer in layers for j, f in enumerate(layer)}
-    crit = [*map(len, layers), 0]
-    up: list[set[int]] = [set() for _ in crit]
-    for bit in bits:
-        if not any(map(min, zip(crit, crit[1:]))):
-            break
-        for f in [f for f in unmatched if not f & bit and f | bit in unmatched]:
-            d = f.bit_count() - 1
-            del unmatched[f | bit]
-            up[d].add(unmatched.pop(f))
-            crit[d] -= 1
-            crit[d + 1] -= 1
-    return crit, up
+    layers = cells.faces_by_dim
+    unmatched = [dict(zip(layer, range(len(layer)))) for layer in layers] + [{}]
+    up: list[set[int]] = [set() for _ in unmatched]
+    steps = list(zip(unmatched, unmatched[1:], up))
+    rest = reduce(or_, chain.from_iterable(layers), 0)  # the elements in some cell
+    while rest and any(low and high for low, high, _ in steps):
+        x = rest & -rest
+        rest ^= x
+        for low, high, paired in steps:
+            if len(low) <= len(high):
+                pairs = [f for f in low if not f & x and f | x in high]
+            else:
+                pairs = [g ^ x for g in high if g & x and g ^ x in low]
+            for f in pairs:
+                del high[f | x]
+            paired.update(map(low.pop, pairs))
+    return [*map(len, unmatched)], up
 
 
 def relative_homology(cells: SimplicialComplex) -> HomologyProfile:
@@ -354,11 +363,10 @@ def reduced_homology(k: SimplicialComplex) -> HomologyProfile:
     if k.dim < 0:
         return HomologyProfile({-1: 1}, {})
     faces = k.face_set
-    stars = Counter(chain.from_iterable(faces))
-    e = min(stars, key=lambda x: (-stars[x], x))
+    stars = [sum(f >> x & 1 for f in faces) for x in range(k.ground_set)]
+    e = 1 << stars.index(max(stars))
     cells = tuple(
-        tuple(f for f in layer if e not in f and tuple(sorted((*f, e))) not in faces)
-        for layer in k.faces_by_dim
+        tuple(f for f in layer if not f & e and f | e not in faces) for layer in k.faces_by_dim
     )
     return relative_homology(SimplicialComplex(k.ground_set, cells))
 

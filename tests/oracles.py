@@ -15,6 +15,10 @@ The complex tooling (a validating face-list builder, link, deletion and the
 grape decomposition witness, among others) works on the package's
 `SimplicialComplex` record but is needed by no route of the package, and
 `graph_with_cycles` draws the graphs of the hypothesis tests on the oracle.
+
+The package holds every face as an edge bitmask (bit i set when element i
+is in it).  This module works on increasing index tuples, and `face_mask`
+and `face_tuple` convert between the two at its edges.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Iterable, Optional, Sequence
 
 from hypothesis import strategies as st
 
-from bdcomplex.complexes import Face, SimplicialComplex
+from bdcomplex.complexes import SimplicialComplex
 from bdcomplex.errors import BoundedDegreeError, NotAForestError
 from bdcomplex.graph import (
     CaterpillarSpec,
@@ -61,8 +65,29 @@ class WouldGoNegativeError(BoundedDegreeError, ValueError):
 # ---------------------------------------------------------------------------
 
 
+Face = tuple[int, ...]
+
+
+def face_mask(face: Sequence[int]) -> int:
+    """The bitmask of a face given by its distinct elements."""
+    return sum(1 << x for x in face)
+
+
+def face_tuple(mask: int) -> Face:
+    """The increasing index tuple of a face bitmask."""
+    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+
+def tuple_faces(k: SimplicialComplex) -> set[Face]:
+    """All nonempty faces of `k` as index tuples."""
+    return set(map(face_tuple, k.face_set))
+
+
 def _layered(ground_set: int, faces: Iterable[Sequence[int]]) -> SimplicialComplex:
-    """Sort each face, drop repeats and the empty face, and sort each layer."""
+    """Sort each face, drop repeats and the empty face, and store each layer as bitmasks.
+
+    A layer keeps the lexicographic order of its faces' index tuples.
+    """
     by_dim: dict[int, set[Face]] = {}
     for face in faces:
         t = tuple(sorted(face))
@@ -70,7 +95,7 @@ def _layered(ground_set: int, faces: Iterable[Sequence[int]]) -> SimplicialCompl
             by_dim.setdefault(len(t) - 1, set()).add(t)
     dims = max(by_dim) + 1 if by_dim else 0
     return SimplicialComplex(
-        ground_set, tuple(tuple(sorted(by_dim.get(d, ()))) for d in range(dims))
+        ground_set, tuple(tuple(map(face_mask, sorted(by_dim.get(d, ())))) for d in range(dims))
     )
 
 
@@ -80,8 +105,7 @@ def complex_from_faces(ground_set: int, faces: Iterable[Sequence[int]]) -> Simpl
     Valid means: no repeated vertex in a face, every vertex inside the
     ground set, and the faces closed under taking subsets.
     """
-    k = _layered(ground_set, faces)
-    face_set = k.face_set
+    face_set = {tuple(sorted(face)) for face in faces} - {()}
     for face in face_set:
         if len(set(face)) != len(face):
             raise ValueError(f"repeated vertex in face {face}")
@@ -94,7 +118,7 @@ def complex_from_faces(ground_set: int, faces: Iterable[Sequence[int]]) -> Simpl
                     raise ValueError(
                         f"complex not downward closed: {face} present, {sub} missing"
                     )
-    return k
+    return _layered(ground_set, face_set)
 
 
 def from_maximal_faces(ground_set: int, facets: Iterable[Sequence[int]]) -> SimplicialComplex:
@@ -117,18 +141,18 @@ def has_face(k: SimplicialComplex, face: Sequence[int]) -> bool:
     if not t:
         return True
     layer = k.faces(len(t) - 1)
-    i = bisect_left(layer, t)
-    return i < len(layer) and layer[i] == t
+    i = bisect_left(layer, t, key=face_tuple)
+    return i < len(layer) and face_tuple(layer[i]) == t
 
 
 def vertices(k: SimplicialComplex) -> tuple[int, ...]:
-    return tuple(f[0] for f in k.faces(0))
+    return tuple(face_tuple(f)[0] for f in k.faces(0))
 
 
 def maximal_faces(k: SimplicialComplex) -> tuple[Face, ...]:
     out = []
     for d in range(k.dim, -1, -1):
-        for face in k.faces(d):
+        for face in map(face_tuple, k.faces(d)):
             fs = set(face)
             if not any(fs < set(g) for g in out):
                 out.append(face)
@@ -139,7 +163,7 @@ def dump(k: SimplicialComplex) -> str:
     """One face per line, indices comma-separated, `-` for the empty face."""
     lines = ["-"]
     for layer in k.faces_by_dim:
-        lines.extend(",".join(str(i) for i in face) for face in layer)
+        lines.extend(",".join(str(i) for i in face_tuple(face)) for face in layer)
     return "\n".join(lines)
 
 
@@ -147,16 +171,19 @@ def link(k: SimplicialComplex, v: int) -> SimplicialComplex:
     """Faces disjoint from vertex v whose union with v lies in the complex."""
     if not has_face(k, (v,)) or not (0 <= v < k.ground_set):
         raise NotAVertexError(f"{v} is not a vertex of the complex")
+    bit = 1 << v
     return _layered(
         k.ground_set,
-        (tuple(x for x in face if x != v) for layer in k.faces_by_dim for face in layer if v in face),
+        (face_tuple(face ^ bit) for layer in k.faces_by_dim for face in layer if face & bit),
     )
 
 
 def deletion(k: SimplicialComplex, v: int) -> SimplicialComplex:
     """Faces that do not contain v."""
+    bit = 1 << v
     return _layered(
-        k.ground_set, (face for layer in k.faces_by_dim for face in layer if v not in face)
+        k.ground_set,
+        (face_tuple(face) for layer in k.faces_by_dim for face in layer if not face & bit),
     )
 
 
@@ -206,7 +233,7 @@ def grape_witness(
             if b == a:
                 continue
             if all(
-                has_face(dl, tuple(sorted(set(face) | {b})))
+                has_face(dl, face_tuple(face | 1 << b))
                 for layer in lk.faces_by_dim
                 for face in layer
             ):
@@ -291,6 +318,16 @@ def brute_force_faces(graph: Graph, bounds) -> set[tuple[int, ...]]:
     return faces
 
 
+def reference_layers(graph: Graph, bounds) -> list[list[Face]]:
+    """The nonempty faces by dimension, each layer in lexicographic order, from `brute_force_faces`."""
+    layers: list[list[Face]] = []
+    for face in sorted(brute_force_faces(graph, bounds) - {()}):
+        while len(layers) < len(face):
+            layers.append([])
+        layers[len(face) - 1].append(face)
+    return layers
+
+
 def brute_force_isomorphic(g1: Graph, b1, g2: Graph, b2) -> bool:
     """Label-preserving isomorphism by explicit bijection search."""
     if g1.num_vertices != g2.num_vertices or g1.num_edges != g2.num_edges:
@@ -336,10 +373,10 @@ def fraction_rank(dense) -> int:
 
 def dense_boundary(k, d) -> list[list[int]]:
     """Dense boundary matrix built directly from the face lists."""
-    cols = k.faces(d)
+    cols = [face_tuple(f) for f in k.faces(d)]
     if d == 0:
         return [[1] * len(cols)] if cols else [[]]
-    rows = k.faces(d - 1)
+    rows = [face_tuple(f) for f in k.faces(d - 1)]
     index = {f: i for i, f in enumerate(rows)}
     out = [[0] * len(cols) for _ in rows]
     for j, face in enumerate(cols):
@@ -462,7 +499,7 @@ def reference_edge_face_counts(k: SimplicialComplex) -> list[int]:
     counts = [0] * k.ground_set
     for layer in k.faces_by_dim:
         for face in layer:
-            for x in face:
+            for x in face_tuple(face):
                 counts[x] += 1
     return counts
 
@@ -482,13 +519,13 @@ def reference_excise(k: SimplicialComplex) -> SimplicialComplex:
     for faces in reversed(k.faces_by_dim):
         below = set()
         kept = []
-        for f in faces:
+        for f in map(face_tuple, faces):
             if e in f:
                 i = f.index(e)
                 below.add(f[:i] + f[i + 1 :])
             elif f not in link:
                 kept.append(f)
-        layers.append(tuple(kept))
+        layers.append(tuple(map(face_mask, kept)))
         link = below
     return SimplicialComplex(k.ground_set, tuple(reversed(layers)))
 

@@ -7,8 +7,11 @@ import threading
 import time
 from pathlib import Path
 
+import pytest
+
 from bdcomplex import cli, harness
 from bdcomplex.complexes import DEFAULT_FACE_CAP
+from bdcomplex.errors import MethodMismatchError
 from bdcomplex.graph import CaterpillarSpec, gen_caterpillar, gen_cycle
 from bdcomplex.harness import (
     POOL_READ_AHEAD,
@@ -255,3 +258,41 @@ class TestBenchmarkBindings:
             assert calls[f"harness.sweep.{name}"] == 1, name
         assert calls["harness.pool_task.oracle"] + calls["harness.pool_task.matching"] > 0
         assert calls["harness.pool_task.cycle"] > 0
+
+
+class TestComputeInstance:
+    """The forest route builds one plan per instance and applies it."""
+
+    def _count_plans(self, monkeypatch):
+        real = harness.forest_plan
+        plans = []
+
+        def counting(graph, *args):
+            plans.append(graph)
+            return real(graph, *args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sphere_counts plans the forest again")
+
+        monkeypatch.setattr(harness, "forest_plan", counting)
+        monkeypatch.setattr(harness, "sphere_counts", refuse)
+        return plans
+
+    def test_forest_is_planned_once(self, monkeypatch):
+        plans = self._count_plans(monkeypatch)
+        forest = harness.parse_instance({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]], "lambda": [1, 1, 1, 1]})
+        for method in ("auto", "recursion"):
+            res = harness.compute_instance(forest, method)
+            assert (res.method_used, res.spheres) == ("recursion", {0: 1})
+        assert plans == [forest.graph] * 2
+
+    def test_a_cycle_is_not_a_forest(self, monkeypatch):
+        plans = self._count_plans(monkeypatch)
+        cycle = harness.parse_instance({"cycle": {"n": 5, "lambda": [2, 1, 1, 1, 1]}})
+        with pytest.raises(MethodMismatchError, match="recursion applies to forests only"):
+            harness.compute_instance(cycle, "recursion")
+        monkeypatch.undo()
+        res = harness.compute_instance(cycle)
+        assert res.method_used == "cycle-reduce"
+        assert res.spheres == harness.compute_instance(cycle, "homology").spheres
+        assert plans == [cycle.graph]

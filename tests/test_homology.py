@@ -32,6 +32,7 @@ from bdcomplex.homology import (
 from oracles import (
     betti_via_fraction_rank,
     complex_from_faces,
+    face_tuple,
     from_maximal_faces,
     graph_with_cycles,
     matrix_from_dense,
@@ -72,7 +73,7 @@ class TestBoundaryMatrix:
         k = build_complex(g, b)
         d2 = boundary_matrix(k, 2)
         assert (d2.rows, d2.cols) == (5, 1)
-        edges = {f: i for i, f in enumerate(k.faces(1))}
+        edges = {face_tuple(f): i for i, f in enumerate(k.faces(1))}
         col = {r: v for (r, _), v in d2.entries.items()}
         assert col == {
             edges[(2, 3)]: 1,
@@ -332,7 +333,7 @@ class TestClearing:
 
 def max_star(k) -> int:
     """Faces containing the element in the most faces, counted from the layers."""
-    faces = [f for layer in k.faces_by_dim for f in layer]
+    faces = [face_tuple(f) for layer in k.faces_by_dim for f in layer]
     return max(sum(x in f for f in faces) for x in range(k.ground_set))
 
 
@@ -372,7 +373,9 @@ class TestExcision:
         _, cells = record_boundaries(monkeypatch)
         assert reduced_homology(k) == HomologyProfile({}, {1: (2,)})
         (rel,) = cells
-        assert rel.num_faces > 0 and all(0 not in f for layer in rel.faces_by_dim for f in layer)
+        assert rel.num_faces > 0 and all(
+            0 not in face_tuple(f) for layer in rel.faces_by_dim for f in layer
+        )
 
     def test_octahedron_boundary(self):
         # every vertex ties
@@ -454,6 +457,41 @@ class TestElementMatching:
         k = build_complex(g, b)
         assert h == reference_reduced_homology(k) == HomologyProfile({2: 2, 3: 2}, {})
         assert euler == reduced_euler(k)
+
+    # the complexes of the benchmark's `compute` workload, in its edge order:
+    # critical cells per dimension, and the boundaries the oracle builds
+    WORK = {
+        "caterpillar-m3333": (
+            gen_caterpillar(CaterpillarSpec((3,) * 4, (2,) * 4)), [0, 0, 0, 0, 12, 40, 20, 1, 0], [7, 6, 5],
+        ),
+        "caterpillar-m22222": (
+            gen_caterpillar(CaterpillarSpec((2,) * 5, (2,) * 5)), [0, 0, 0, 0, 0, 2, 4, 1, 0, 0], [7, 6],
+        ),
+        "C14-ones": ((gen_cycle(14), (1,) * 14), [0, 0, 0, 0, 1, 0, 0, 0], []),
+        "C16-ones": ((gen_cycle(16), (1,) * 16), [0, 0, 0, 0, 1, 0, 0, 0, 0], []),
+        "C18-ones": ((gen_cycle(18), (1,) * 18), [0, 0, 0, 0, 0, 2, 0, 0, 0, 0], []),
+        "K7-matching": (
+            (make_graph(7, list(itertools.combinations(range(7), 2))), (1,) * 7), [0, 7, 27, 0], [2],
+        ),
+        "K8-matching": (
+            (make_graph(8, list(itertools.combinations(range(8), 2))), (1,) * 8), [0, 0, 132, 0, 0], [],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(WORK))
+    def test_compute_complexes_keep_their_work(self, name, monkeypatch):
+        (g, b), crit, dims = self.WORK[name]
+        assert homology._element_matching(excised_cells(g, b))[0] == crit
+        real = homology.boundary_matrix
+        built = []
+
+        def recording(k, d, **kwargs):
+            built.append(d)
+            return real(k, d, **kwargs)
+
+        monkeypatch.setattr(homology, "boundary_matrix", recording)
+        graph_homology(g, b)
+        assert built == dims
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(st.data())

@@ -27,8 +27,6 @@ Face = int  # an edge bitmask: bit i is set when edge i is in the face
 
 DEFAULT_FACE_CAP = 5_000_000
 
-_BITS = tuple(1 << i for i in range(64))  # edge i's bit, for the walks of up to 64 edges
-
 
 @dataclass(frozen=True)
 class SimplicialComplex:
@@ -75,7 +73,6 @@ def _walk(
     bitmask of the edges taken.  `budgets` is restored on return.
     """
     m = len(edges)
-    bits = _BITS if m <= len(_BITS) else [1 << i for i in range(m)]
     layers: list[list[Face]] = []
     count = 0
     stack: list[int] = []
@@ -87,7 +84,7 @@ def _walk(
                 budgets[u] -= 1
                 budgets[v] -= 1
                 stack.append(i)
-                mask += bits[i]
+                mask += 1 << i
                 if not (budgets[a] and budgets[b]):
                     if count == face_cap:
                         raise FaceCapExceededError(
@@ -102,7 +99,7 @@ def _walk(
         if not stack:
             break
         i = stack.pop()
-        mask -= bits[i]
+        mask -= 1 << i
         u, v = edges[i]
         budgets[u] += 1
         budgets[v] += 1

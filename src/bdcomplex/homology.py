@@ -265,8 +265,7 @@ def _element_matching(cells: SimplicialComplex) -> tuple[list[int], list[set[int
     Jonsson's element matchings on the cells' bitmasks: for each x in index
     order that lies in some cell (the excised edge never does), an unpaired
     cell f without x pairs with f + x if that is unpaired too, until no two
-    unpaired cells lie in adjacent dimensions.  The pairs of one x are
-    disjoint, so two adjacent layers are scanned from the smaller one.
+    unpaired cells lie in adjacent dimensions.
     """
     layers = cells.faces_by_dim
     unmatched = [dict(zip(layer, range(len(layer)))) for layer in layers] + [{}]
@@ -277,10 +276,7 @@ def _element_matching(cells: SimplicialComplex) -> tuple[list[int], list[set[int
         x = rest & -rest
         rest ^= x
         for low, high, paired in steps:
-            if len(low) <= len(high):
-                pairs = [f for f in low if not f & x and f | x in high]
-            else:
-                pairs = [g ^ x for g in high if g & x and g ^ x in low]
+            pairs = [f for f in low if not f & x and f | x in high]
             for f in pairs:
                 del high[f | x]
             paired.update(map(low.pop, pairs))

@@ -12,7 +12,9 @@ the faces on each edge by a dynamic program over the edges, and
 `excised_cells` walks only the cells of the pair (K, st e) for the edge e
 in the most faces: the same face walk as `build_complex`, with e left out
 and a face kept only where an end of e has no budget left.  When K is the
-cone st(e), the counts show it and nothing is walked.
+cone st(e), the counts show it and nothing is walked.  The oracle calls
+the walk only where the critical cells of its matching tree lie in
+adjacent dimensions (see `homology._critical_cells`).
 """
 
 from __future__ import annotations
@@ -216,7 +218,11 @@ def _edge_counts(graph: Graph, bounds: DegreeBounds, face_cap: int) -> tuple[lis
 
 
 def excised_cells(
-    graph: Graph, bounds: Sequence[int], face_cap: int = DEFAULT_FACE_CAP
+    graph: Graph,
+    bounds: Sequence[int],
+    face_cap: int = DEFAULT_FACE_CAP,
+    *,
+    counts: Optional[tuple[list[int], int]] = None,
 ) -> Optional[SimplicialComplex]:
     """The cells of the pair (K, st e), K the complex and e the edge in the most faces.
 
@@ -228,9 +234,11 @@ def excised_cells(
     they come in the order of its layers; the record is not closed under
     taking faces.  None when K has no vertex, that is K = {empty face}, and
     no walk when K is the cone st(e), that is |K| = 2 max(counts).
+    `counts`, when given, is what `_edge_counts` returned on these bounds
+    and cap, and is not counted again.
     """
     bounds = _checked(graph, bounds, face_cap)
-    counts, total = _edge_counts(graph, bounds, face_cap)
+    counts, total = counts or _edge_counts(graph, bounds, face_cap)
     top = max(counts, default=0)
     if not top:
         return None

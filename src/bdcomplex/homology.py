@@ -10,14 +10,17 @@ elimination, which takes its pivots from a lazy heap, handles the (usually
 tiny) remainder, so memory follows the number of nonzeros, not rows x columns.
 
 Every route's oracle is `graph_homology`, which never builds the complex
-K of a graph.  It excises the edge e in the most faces: the reduced
-homology of K is that of the pair (del e, lk e), whose cells are the faces
-that avoid e and are not in lk(e), often a fifth to a half of the faces,
-and `excised_cells` walks just those on the graph.  A cone has none, which
-the face counts show before any walk.  `relative_homology` pairs cells
-off by element matchings, and reduces only the boundaries that the pairs
-leave open, from the top dimension down, clearing, that is never building,
-the columns that the dimension above shows to be redundant.
+K of a graph.  The face counts answer a cone.  Otherwise `_critical_cells`
+counts the critical cells of an acyclic matching on K, a tree of fibers
+that visits no face one by one; where no two adjacent dimensions both hold
+critical cells, the counts are the Betti numbers.  Elsewhere it excises
+the edge e in the most faces: the reduced homology of K is that of the
+pair (del e, lk e), whose cells are the faces that avoid e and are not in
+lk(e), often a fifth to a half of the faces, and `excised_cells` walks
+just those on the graph.  `relative_homology` pairs cells off by element
+matchings, and reduces only the boundaries that the pairs leave open,
+from the top dimension down, clearing, that is never building, the
+columns that the dimension above shows to be redundant.
 `reduced_homology` does the same excision on a complex given by its faces.
 """
 
@@ -27,11 +30,11 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain
+from itertools import chain, combinations
 from operator import or_
 from typing import Collection, Optional, Sequence
 
-from .complexes import DEFAULT_FACE_CAP, SimplicialComplex, excised_cells, reduced_euler
+from .complexes import DEFAULT_FACE_CAP, SimplicialComplex, _checked, _edge_counts, excised_cells
 from .graph import Graph
 
 
@@ -330,22 +333,115 @@ def relative_homology(cells: SimplicialComplex) -> HomologyProfile:
     return HomologyProfile(betti, torsion)
 
 
+def _critical_cells(graph: Graph, bounds: Sequence[int]) -> list[int]:
+    """Critical cells of a recursive-excision matching on K, counted by their number of edges.
+
+    Index k counts the critical (k-1)-cells, the empty face at k = 0;
+    trailing zeros are dropped.  The bounds must be valid for the graph.
+    A depth-first walk, without recursion, over fibers A + BD(G', l'): the
+    faces made of the fixed edges A and a face of the live edges G' within
+    the budgets l' that A leaves.  An edge is live while both its ends have
+    budget.  A fiber with no live edge is one critical cell, A.  A live
+    edge whose ends both have budget for all their live edges makes the
+    fiber a cone, with none.  Otherwise the live edge x = {u, v} of least
+    slack (live degree less budget, summed over both ends; the lowest
+    index on ties), u the end with less budget to spare (the first end on
+    ties), pairs the faces that hold x down, and those at which u and v
+    both have budget up with +x.  The rest, where u or v is saturated, fall
+    into the fibers that fix every edge at u where u is saturated, else
+    every edge at u and at v.  Each step is an element matching on the
+    fibers of an order-preserving map, so by the Cluster Lemma the whole
+    matching is acyclic (Jonsson, Simplicial Complexes of Graphs, LNM 1928,
+    2008), as the matching trees of Bousquet-Melou, Linusson and Nevo (J.
+    Algebraic Combin. 27, 2008) are.
+    """
+    edges = graph.edges
+    star: list[list[int]] = [[] for _ in bounds]  # per vertex, its edges
+    for i, (u, v) in enumerate(edges):
+        star[u].append(i)
+        star[v].append(i)
+    inc = [sum(1 << i for i in s) for s in star]  # the same, as bitmasks
+    live = (1 << len(edges)) - 1
+    for w, m in zip(bounds, inc):
+        if not w:
+            live &= ~m
+    crit = [0] * (len(edges) + 1)
+    stack = [(0, live, list(bounds))]
+    while stack:
+        size, live, budget = stack.pop()
+        if not live:
+            crit[size] += 1
+            continue
+        spare = [b - (live & m).bit_count() for b, m in zip(budget, inc)]
+        best, most, rest = -1, -math.inf, live
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            u, v = edges[i]
+            if spare[u] >= 0 and spare[v] >= 0:
+                break  # a cone on edge i
+            if spare[u] + spare[v] > most:
+                best, most = i, spare[u] + spare[v]
+        else:
+            u, v = edges[best]
+            if spare[v] < spare[u]:
+                u, v = v, u
+            at_u = [j for j in star[u] if j != best and live >> j & 1]
+            at_v = [j for j in star[v] if j != best and live >> j & 1]
+            bu, bv = budget[u], budget[v]
+            free_u = live & ~inc[u]
+            free_uv = free_u & ~inc[v]
+            children = [(s, free_u) for s in combinations(at_u, bu)]
+            children += [
+                (s + t, free_uv)
+                for k in range(bu)
+                for s in combinations(at_u, k)
+                for t in combinations(at_v, bv)
+            ]
+            for picks, child in children:
+                b = budget[:]
+                for j in picks:
+                    for w in edges[j]:
+                        b[w] -= 1
+                        if not b[w]:
+                            child &= ~inc[w]
+                if min(b) >= 0:  # a common neighbour of u and v may lack budget for both
+                    stack.append((size + len(picks), child, b))
+    while crit and not crit[-1]:
+        crit.pop()
+    return crit
+
+
 def graph_homology(
     graph: Graph, bounds: Sequence[int], face_cap: int = DEFAULT_FACE_CAP
 ) -> tuple[HomologyProfile, int]:
     """Reduced homology and reduced Euler characteristic of the complex of a graph.
 
-    The oracle of every route: it reduces the cells of (K, st e) that
-    `excised_cells` walks, and never builds K.  The Euler characteristic is
-    the alternating count of those cells, which is that of K since st(e)
-    is a cone; it is independent of the Smith normal form.  Raises
-    FaceCapExceededError when K has more than `face_cap` faces.
+    The oracle of every route; it never builds K.  The face counts of
+    `_edge_counts` refuse an over-cap K and answer the complex of the
+    empty face and a cone.  Otherwise `_critical_cells` counts the critical
+    cells of an acyclic matching on K.  Where no two adjacent dimensions
+    both hold some, the Morse complex has no boundary, so the counts are
+    the Betti numbers, with no torsion, and no cell is walked.  Elsewhere
+    `relative_homology` reduces the cells of (K, st e) that `excised_cells`
+    walks.  On both paths the Euler characteristic is the alternating count
+    of the critical cells, which a Morse matching keeps; it is independent
+    of the Smith normal form.  Raises FaceCapExceededError when K has more
+    than `face_cap` faces.
     """
-    cells = excised_cells(graph, bounds, face_cap)
-    if cells is None:  # K has no vertex: the empty face is its one class
+    bounds = _checked(graph, bounds, face_cap)
+    counts, total = _edge_counts(graph, bounds, face_cap)
+    top = max(counts, default=0)
+    if not top:  # K has no vertex: the empty face is its one class
         return HomologyProfile({-1: 1}, {}), -1
-    # the cells leave out the empty face, which lies in st(e)
-    return relative_homology(cells), reduced_euler(cells) + 1
+    if total == 2 * top:  # K is the cone st(e)
+        return HomologyProfile(), 0
+    crit = _critical_cells(graph, bounds)
+    euler = sum(c if k % 2 else -c for k, c in enumerate(crit))
+    if any(map(min, zip(crit, crit[1:]))):  # critical cells in adjacent dimensions
+        cells = excised_cells(graph, bounds, face_cap, counts=(counts, total))
+        return relative_homology(cells), euler
+    return HomologyProfile({k - 1: c for k, c in enumerate(crit) if c}), euler
 
 
 def reduced_homology(k: SimplicialComplex) -> HomologyProfile:

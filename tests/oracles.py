@@ -530,6 +530,92 @@ def reference_excise(k: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(k.ground_set, tuple(reversed(layers)))
 
 
+def reference_tree_matching(graph: Graph, bounds, faces: Iterable[Face]) -> dict[Face, Optional[Face]]:
+    """The partner of every face under the matching of `_critical_cells`, None for a critical face.
+
+    `faces` are the faces of the complex of (graph, bounds), the empty face
+    included.  The tree's rules, restated on explicit sets of faces: a fiber
+    is the faces that hold its fixed edges and no other edge outside its
+    free ones.  Its live edges are the free edges whose ends both have
+    budget left after the fixed ones.  No live edge: its one face is
+    critical.  The first live edge whose ends both have budget for all
+    their live edges pairs every face f without it with f + x.  Otherwise
+    the live edge x = {u, v} of least slack, u its end with less to spare,
+    pairs f + x with f wherever u and v both have budget at f.  Every other
+    face goes to the fiber fixed by its edges at u where u is saturated,
+    else by its edges at u and v.
+    """
+    edges = graph.edges
+    partner: dict[Face, Optional[Face]] = {}
+
+    def degree(f, w) -> int:
+        return sum(w in edges[i] for i in f)
+
+    def pair(f, g):
+        assert f not in partner and g not in partner and g in members
+        partner[f], partner[g] = g, f
+
+    stack = [(set(faces), (), frozenset(range(len(edges))))]
+    while stack:
+        members, fixed, free = stack.pop()
+        budget = [b - degree(fixed, w) for w, b in enumerate(bounds)]
+        live = [i for i in sorted(free) if min(budget[w] for w in edges[i]) > 0]
+        if not live:
+            (f,) = members
+            partner[f] = None
+            continue
+        spare = [b - sum(w in edges[i] for i in live) for w, b in enumerate(budget)]
+        cone = [i for i in live if min(spare[w] for w in edges[i]) >= 0]
+        if cone:
+            for f in members:
+                if cone[0] not in f:
+                    pair(f, tuple(sorted(f + (cone[0],))))
+            continue
+        x = max(live, key=lambda i: (sum(spare[w] for w in edges[i]), -i))
+        u, v = edges[x]
+        if spare[v] < spare[u]:
+            u, v = v, u
+        children: dict = {}
+        for f in members:
+            if x in f:
+                continue
+            if degree(f, u) < bounds[u] and degree(f, v) < bounds[v]:
+                pair(f, tuple(sorted(f + (x,))))
+                continue
+            ends = {u} if degree(f, u) == bounds[u] else {u, v}
+            rest = free - {i for i in free if ends & set(edges[i])}
+            key = (tuple(i for i in f if i not in rest), rest)
+            children.setdefault(key, set()).add(f)
+        stack.extend((group, fixed, rest) for (fixed, rest), group in children.items())
+    return partner
+
+
+def morse_graph_is_acyclic(partner: dict[Face, Optional[Face]]) -> bool:
+    """Whether the modified Hasse diagram of a matching has no directed cycle.
+
+    Each cover g < f of the faces points down, from f to g, unless f and g
+    are partners; then it points up.  Kahn's algorithm removes the faces
+    with nothing pointing in until none is left, or a cycle stops it.
+    """
+    arrows: dict[Face, list[Face]] = {f: [] for f in partner}
+    into = dict.fromkeys(partner, 0)
+    for f in partner:
+        for j in range(len(f)):
+            g = f[:j] + f[j + 1 :]
+            head, tail = (f, g) if partner[g] == f else (g, f)
+            arrows[tail].append(head)
+            into[head] += 1
+    ready = [f for f, n in into.items() if not n]
+    seen = 0
+    while ready:
+        seen += 1
+        for head in arrows[ready.pop()]:
+            into[head] -= 1
+            if not into[head]:
+                ready.append(head)
+    return seen == len(partner)
+
+
 def pick_recursion_edge(graph: Graph):
     """Smallest-index edge with a leaf neighbor off the edge, or None.
 

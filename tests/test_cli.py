@@ -211,6 +211,19 @@ class TestCompute:
         assert obj["method"] == "homology"
         assert obj["spheres"] == {"1": 1}
 
+    def test_all_ones_c27_through_the_oracle(self, capsys, tmp_path):
+        # 196,418 cells of (K, st e) that the oracle no longer walks: the
+        # matching tree leaves two critical 8-cells
+        ones = [1] * 27
+        path = write_instance(tmp_path, {"cycle": {"n": 27, "lambda": ones}})
+        code, out, _ = run(capsys, ["compute", path, "--method", "homology"])
+        assert code == 0
+        assert out == (
+            '{"instance":{"cycle":{"n":27,"lambda":' + json.dumps(ones).replace(" ", "") + "}},"
+            '"method":"homology","contractible":false,"spheres":{"8":2},'
+            '"homology":{"betti":{"8":2},"torsion":{}}}\n'
+        )
+
     def test_auto_on_reducible_cycle(self, capsys, tmp_path):
         path = write_instance(tmp_path, {"cycle": {"n": 3, "lambda": [1, 1, 2]}})
         code, out, _ = run(capsys, ["compute", path])

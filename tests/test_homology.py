@@ -1,5 +1,6 @@
 import itertools
 import os
+from collections import Counter
 import random
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdcomplex.complexes import SimplicialComplex, build_complex, excised_cells, reduced_euler
+from bdcomplex.errors import FaceCapExceededError
 from bdcomplex.graph import (
     CaterpillarSpec,
     gen_caterpillar,
@@ -37,8 +39,11 @@ from oracles import (
     graph_with_cycles,
     matrix_from_dense,
     matrix_to_dense,
+    morse_graph_is_acyclic,
     naive_snf,
     reference_reduced_homology,
+    reference_tree_matching,
+    tuple_faces,
 )
 
 # six-vertex triangulation of the real projective plane: the canonical
@@ -405,15 +410,128 @@ def draw_graph(data):
     return g, tuple(data.draw(st.lists(bound, min_size=g.num_vertices, max_size=g.num_vertices)))
 
 
+def record_walks(monkeypatch) -> list:
+    """Record each call of the oracle's cell walk, `excised_cells`."""
+    real = homology.excised_cells
+    walks = []
+
+    def recording(*args, **kwargs):
+        walks.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(homology, "excised_cells", recording)
+    return walks
+
+
 class TestGraphOracle:
     """`graph_homology` end to end against the whole complex reduced without clearing."""
 
-    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    def test_matches_reference_on_graphs(self, monkeypatch):
+        walks = record_walks(monkeypatch)
+        routes = Counter()
+
+        @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+        @given(st.data())
+        def check(data):
+            g, b = draw_graph(data)
+            k = build_complex(g, b)
+            walks.clear()
+            h = graph_homology(g, b)
+            assert h == (reference_reduced_homology(k), reduced_euler(k))
+            cells = excised_cells(g, b)
+            if cells is None:
+                routes["empty"] += 1
+            elif cells.dim < 0:
+                routes["cone"] += 1
+            elif walks:
+                routes["walk"] += 1
+            else:
+                # answered from the critical cells: the walk's reduction agrees
+                assert h == (homology.relative_homology(cells), reduced_euler(cells) + 1)
+                routes["counts"] += 1
+
+        check()
+        assert routes["counts"] and routes["walk"]
+
+
+def assert_tree_matching(g, b, k):
+    """The tree's matching on the faces of `k` is an acyclic matching that leaves the counted cells."""
+    faces = tuple_faces(k) | {()}
+    partner = reference_tree_matching(g, b, faces)
+    assert partner.keys() == faces
+    for f, p in partner.items():
+        if p is not None:
+            assert len(set(f) ^ set(p)) == 1  # one edge away
+            assert partner[p] == f
+    assert morse_graph_is_acyclic(partner)
+    unmatched = Counter(len(f) for f, p in partner.items() if p is None)
+    crit = homology._critical_cells(g, b)
+    assert [unmatched[n] for n in range(len(crit))] == crit
+    assert sum(unmatched.values()) == sum(crit)
+
+
+def complete_graph(n: int):
+    return make_graph(n, list(itertools.combinations(range(n), 2)))
+
+
+class TestMatchingTree:
+    """The matching whose critical cells `_critical_cells` counts, built face by face."""
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(st.data())
-    def test_matches_reference_on_graphs(self, data):
-        g, b = draw_graph(data)
-        k = build_complex(g, b)
-        assert graph_homology(g, b) == (reference_reduced_homology(k), reduced_euler(k))
+    def test_is_an_acyclic_matching_leaving_the_counted_cells(self, data):
+        g, b = graph_with_cycles(data)
+        try:
+            k = build_complex(g, b, face_cap=4000)
+        except FaceCapExceededError:
+            return
+        assert_tree_matching(g, b, k)
+
+    # larger than the draws reach: critical cells in adjacent dimensions
+    # (K7, K_{4,4}, the graph of `test_cells_paired_upward_are_cleared`),
+    # 1,857 faces (K6 at bound 2), and a cone
+    FIXED = {
+        "K7-ones": (complete_graph(7), (1,) * 7),
+        "K6-twos": (complete_graph(6), (2,) * 6),
+        "K44-ones": (make_graph(8, [(a, c) for a in range(4) for c in range(4, 8)]), (1,) * 8),
+        "paired-up": (
+            make_graph(7, [(0, 3), (0, 5), (0, 6), (1, 2), (1, 3), (2, 3), (2, 6), (3, 4), (4, 5), (5, 6)]),
+            (3, 1, 4, 2, 3, 1, 1),
+        ),
+        "C12-bound2": (gen_cycle(12), tuple(1 if i % 3 == 0 else 2 for i in range(12))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FIXED))
+    def test_fixed_graphs(self, name):
+        g, b = self.FIXED[name]
+        assert_tree_matching(g, b, build_complex(g, b))
+
+    def test_cycle_check_sees_a_cyclic_matching(self):
+        # the hollow triangle with each vertex paired to the edge after it: a
+        # gradient path (0,1) > (1,) < (1,2) > (2,) < (0,2) > (0,) < (0,1)
+        partner = {(): None, (0, 1, 2): None}
+        for f, p in [((0,), (0, 1)), ((1,), (1, 2)), ((2,), (0, 2))]:
+            partner[f], partner[p] = p, f
+        assert not morse_graph_is_acyclic(partner)
+        partner[(0,)], partner[(1,)], partner[(2,)] = (0, 2), (0, 1), (1, 2)
+        partner[(0, 2)], partner[(0, 1)], partner[(1, 2)] = (0,), (1,), (2,)
+        assert not morse_graph_is_acyclic(partner)
+        partner = {(): (0,), (0,): (), (1,): (0, 1), (0, 1): (1,)}
+        assert morse_graph_is_acyclic(partner)
+
+    def test_all_ones_cycles_take_kozlovs_form_from_the_counts(self, monkeypatch):
+        # Kozlov (JCTA 88, 1999): Ind(C_n), the complex of all-ones C_n, is
+        # S^{k-1} v S^{k-1} for n = 3k, S^{k-1} for n = 3k+1 and S^k for n = 3k+2
+        def refuse(*args, **kwargs):
+            raise AssertionError("cells walked")
+
+        monkeypatch.setattr(homology, "excised_cells", refuse)
+        for n in range(3, 31):
+            k, r = divmod(n, 3)
+            d, spheres = [(k - 1, 2), (k - 1, 1), (k, 1)][r]
+            assert graph_homology(gen_cycle(n), (1,) * n) == (
+                HomologyProfile({d: spheres}, {}), (-1) ** d * spheres
+            )
 
 
 class TestElementMatching:
@@ -459,28 +577,42 @@ class TestElementMatching:
         assert euler == reduced_euler(k)
 
     # the complexes of the benchmark's `compute` workload, in its edge order:
-    # critical cells per dimension, and the boundaries the oracle builds
+    # the matching tree's critical cells by number of edges, the path that
+    # answers, and on the walk the element matchings' critical cells per
+    # dimension and the boundaries the oracle builds (on the counts the
+    # walk is not run, and the vectors are those it would find)
     WORK = {
         "caterpillar-m3333": (
-            gen_caterpillar(CaterpillarSpec((3,) * 4, (2,) * 4)), [0, 0, 0, 0, 12, 40, 20, 1, 0], [7, 6, 5],
+            gen_caterpillar(CaterpillarSpec((3,) * 4, (2,) * 4)), [0, 0, 0, 0, 0, 4, 24, 12, 1], "walk",
+            [0, 0, 0, 0, 12, 40, 20, 1, 0], [7, 6, 5],
         ),
         "caterpillar-m22222": (
-            gen_caterpillar(CaterpillarSpec((2,) * 5, (2,) * 5)), [0, 0, 0, 0, 0, 2, 4, 1, 0, 0], [7, 6],
+            gen_caterpillar(CaterpillarSpec((2,) * 5, (2,) * 5)), [0, 0, 0, 0, 0, 0, 1, 2], "walk",
+            [0, 0, 0, 0, 0, 2, 4, 1, 0, 0], [7, 6],
         ),
-        "C14-ones": ((gen_cycle(14), (1,) * 14), [0, 0, 0, 0, 1, 0, 0, 0], []),
-        "C16-ones": ((gen_cycle(16), (1,) * 16), [0, 0, 0, 0, 1, 0, 0, 0, 0], []),
-        "C18-ones": ((gen_cycle(18), (1,) * 18), [0, 0, 0, 0, 0, 2, 0, 0, 0, 0], []),
+        "C14-ones": (
+            (gen_cycle(14), (1,) * 14), [0, 0, 0, 0, 0, 1], "counts", [0, 0, 0, 0, 1, 0, 0, 0], [],
+        ),
+        "C16-ones": (
+            (gen_cycle(16), (1,) * 16), [0, 0, 0, 0, 0, 1], "counts", [0, 0, 0, 0, 1, 0, 0, 0, 0], [],
+        ),
+        "C18-ones": (
+            (gen_cycle(18), (1,) * 18), [0, 0, 0, 0, 0, 0, 2], "counts", [0, 0, 0, 0, 0, 2, 0, 0, 0, 0], [],
+        ),
         "K7-matching": (
-            (make_graph(7, list(itertools.combinations(range(7), 2))), (1,) * 7), [0, 7, 27, 0], [2],
+            (make_graph(7, list(itertools.combinations(range(7), 2))), (1,) * 7), [0, 0, 10, 30], "walk",
+            [0, 7, 27, 0], [2],
         ),
         "K8-matching": (
-            (make_graph(8, list(itertools.combinations(range(8), 2))), (1,) * 8), [0, 0, 132, 0, 0], [],
+            (make_graph(8, list(itertools.combinations(range(8), 2))), (1,) * 8), [0, 0, 0, 132], "counts",
+            [0, 0, 132, 0, 0], [],
         ),
     }
 
     @pytest.mark.parametrize("name", sorted(WORK))
     def test_compute_complexes_keep_their_work(self, name, monkeypatch):
-        (g, b), crit, dims = self.WORK[name]
+        (g, b), tree, path, crit, dims = self.WORK[name]
+        assert homology._critical_cells(g, b) == tree
         assert homology._element_matching(excised_cells(g, b))[0] == crit
         real = homology.boundary_matrix
         built = []
@@ -490,8 +622,10 @@ class TestElementMatching:
             return real(k, d, **kwargs)
 
         monkeypatch.setattr(homology, "boundary_matrix", recording)
+        walks = record_walks(monkeypatch)
         graph_homology(g, b)
-        assert built == dims
+        assert ("walk" if walks else "counts") == path
+        assert built == (dims if walks else [])
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(st.data())

@@ -13,6 +13,7 @@ import json
 import sys
 from contextlib import nullcontext
 from functools import partial
+from itertools import chain, islice
 from typing import Optional
 
 from .complexes import DEFAULT_FACE_CAP
@@ -130,6 +131,9 @@ def cmd_compute(args) -> int:
     return 0
 
 
+BATCH_CHUNK = 32  # consecutive lines per pool task of `batch` at jobs > 1
+
+
 def _batch_line(method: str, face_cap: int, task: tuple[int, bytes]) -> dict:
     """Result object for one input line, or an error object naming the line.
 
@@ -146,13 +150,24 @@ def _batch_line(method: str, face_cap: int, task: tuple[int, bytes]) -> dict:
         return {**_error_json(exc), "line": lineno}
 
 
+def _batch_chunk(method: str, face_cap: int, chunk: list[tuple[int, bytes]]) -> list[dict]:
+    """`_batch_line` on each line of a pool task, in order."""
+    return [_batch_line(method, face_cap, task) for task in chunk]
+
+
 def cmd_batch(args) -> int:
-    worker = partial(_batch_line, args.method, args.face_cap)
     with open(args.file, "rb") if args.file != "-" else nullcontext(sys.stdin.buffer) as fh:
         # read lazily, one line at a time; each line is decoded on its own in _batch_line
         tasks = ((i, line) for i, line in enumerate(fh, start=1) if line.strip())
+        if args.jobs > 1:
+            # a pool task per line costs more in round trips than most lines take
+            chunks = iter(lambda: list(islice(tasks, BATCH_CHUNK)), [])
+            worker = partial(_batch_chunk, args.method, args.face_cap)
+            results = chain.from_iterable(pool_map(worker, chunks, args.jobs))
+        else:
+            results = map(partial(_batch_line, args.method, args.face_cap), tasks)
         failed = False
-        for obj in pool_map(worker, tasks, args.jobs):
+        for obj in results:
             failed = failed or "error" in obj
             _emit(obj, args.output)
     return 1 if failed else 0

@@ -11,10 +11,15 @@ The homology oracle does not build the complex.  `edge_face_counts` counts
 the faces on each edge by a dynamic program over the edges, and
 `excised_cells` walks only the cells of the pair (K, st e) for the edge e
 in the most faces: the same face walk as `build_complex`, with e left out
-and a face kept only where an end of e has no budget left.  When K is the
-cone st(e), the counts show it and nothing is walked.  The oracle calls
-the walk only where the critical cells of its matching tree lie in
-adjacent dimensions (see `homology._critical_cells`).
+and a face kept only where an end of e has no budget left, turning back
+where both ends of e have budget and no edge at either is left to take.
+When K is the cone st(e), the counts show it and nothing is walked.  The
+oracle calls the walk only where the critical cells of its matching tree
+lie in adjacent dimensions (see `homology._critical_cells`), and the face
+count runs there, inside `excised_cells`, unless the oracle ran it first
+to refuse an over-cap complex (see `homology.graph_homology`).  Of the
+walked cells, `homology.relative_homology` builds the boundary d only
+where the dimensions d and d-1 both hold critical cells of the tree.
 """
 
 from __future__ import annotations
@@ -70,16 +75,22 @@ def _walk(
 
     Depth-first over index-ordered subsets, without recursion: take edge i
     when both budgets allow, and at the end of the edges drop the last one
-    taken and go on after it.  The walk meets the faces in lexicographic
-    order, and each one that is kept goes straight to its layer as the
-    bitmask of the edges taken.  `budgets` is restored on return.
+    taken and go on after it.  A face past the last edge at a or b that
+    leaves both of them budget keeps it on every face above it, so the
+    walk turns back there as at the end of the edges.  It meets the faces
+    in lexicographic order, and each one that is kept goes straight to its
+    layer as the bitmask of the edges taken.  `budgets` is restored on return.
     """
     m = len(edges)
+    # one past the last edge at a or b; where a or b never has budget, no face is cut off
+    stop = max((i + 1 for i, e in enumerate(edges) if a in e or b in e), default=0)
     layers: list[list[Face]] = []
     count = 0
     stack: list[int] = []
     mask = i = 0
     while True:
+        if i == stop and budgets[a] and budgets[b]:
+            i = m  # no edge at a or b is left to take: no face below is kept
         if i < m:
             u, v = edges[i]
             if budgets[u] > 0 and budgets[v] > 0:

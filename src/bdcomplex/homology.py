@@ -10,18 +10,26 @@ elimination, which takes its pivots from a lazy heap, handles the (usually
 tiny) remainder, so memory follows the number of nonzeros, not rows x columns.
 
 Every route's oracle is `graph_homology`, which never builds the complex
-K of a graph.  The face counts answer a cone.  Otherwise `_critical_cells`
-counts the critical cells of an acyclic matching on K, a tree of fibers
-that visits no face one by one; where no two adjacent dimensions both hold
-critical cells, the counts are the Betti numbers.  Elsewhere it excises
-the edge e in the most faces: the reduced homology of K is that of the
-pair (del e, lk e), whose cells are the faces that avoid e and are not in
-lk(e), often a fifth to a half of the faces, and `excised_cells` walks
-just those on the graph.  `relative_homology` pairs cells off by element
-matchings, and reduces only the boundaries that the pairs leave open,
-from the top dimension down, clearing, that is never building, the
-columns that the dimension above shows to be redundant.
-`reduced_homology` does the same excision on a complex given by its faces.
+K of a graph.  `_critical_cells` counts the critical cells of an acyclic
+matching on K, a tree of fibers that visits no face one by one and
+answers the complex of the empty face and a cone at its root; where no
+two adjacent dimensions both hold critical cells, the counts are the
+Betti numbers.  Elsewhere it excises the edge e in the most faces: the
+reduced homology of K is that of the pair (del e, lk e), whose cells are
+the faces that avoid e and are not in lk(e), often a fifth to a half of
+the faces, and `excised_cells` walks just those on the graph.  The face
+count of `_edge_counts`, which refuses a K over the face cap, runs before
+the tree only where the graph has at least as many edges as the cap has
+bits (below that, K has at most 2^m <= cap faces), and otherwise only
+inside `excised_cells`.  `relative_homology` takes the tree's counts one
+dimension down and builds the boundary d only where the dimensions d and
+d-1 both hold critical cells, from the top dimension down, clearing, that
+is never building, the columns that the boundary above, when built,
+shows to be redundant; the other ranks follow from the Betti numbers,
+zero where a dimension has no critical cell and, at the top of each run
+of dimensions that hold some, given by the run's Euler characteristic.
+`reduced_homology` does the same excision on a complex given by its
+faces, with the counts of element matchings on the cells.
 """
 
 from __future__ import annotations
@@ -106,11 +114,11 @@ def _eliminate_units(m: IntegerMatrix) -> tuple[list[int], dict[tuple[int, int],
     the unit entry whose row has the fewest nonzeros (the lowest row on
     ties), which keeps fill-in low.  Column operations clear the rest of the
     pivot row, after which the pivot is alone in its row, so its row and
-    column split off as one invariant factor 1.  Works on a copy of the
-    matrix's columns.  Returns the rows of the unit pivots, in pivot order,
+    column split off as one invariant factor 1.  Reduces the matrix's
+    columns in place.  Returns the rows of the unit pivots, in pivot order,
     and the entries left once no column holds a unit.
     """
-    cols = {j: dict(col) for j, col in m.columns.items()}
+    cols = m.columns
     row_cols: list[set[int]] = [set() for _ in range(m.rows)]
     for j, col in cols.items():
         for i in col:
@@ -151,7 +159,7 @@ def _eliminate_units(m: IntegerMatrix) -> tuple[list[int], dict[tuple[int, int],
             else:
                 del cols[j]
         pivot_rows.append(r)
-    return pivot_rows, IntegerMatrix(m.rows, m.cols, columns=cols).entries
+    return pivot_rows, m.entries
 
 
 def _exact_snf(entries: dict[tuple[int, int], int]):
@@ -230,13 +238,18 @@ def _divisibility_fix(values: list[int]) -> tuple[int, ...]:
 
 
 def smith_normal_form(
-    m: IntegerMatrix, *, unit_rows: Optional[list[int]] = None
+    m: IntegerMatrix, *, unit_rows: Optional[list[int]] = None, in_place: bool = False
 ) -> tuple[int, tuple[int, ...]]:
     """Rank and invariant factors d1 | d2 | ... | d_rank of an integer matrix.
 
-    When `unit_rows` is a list, the row of every +-1 pivot of the unit
-    elimination is appended to it, in pivot order.
+    The elimination works on a copy of the columns of `m`, which is left as
+    it is, or with `in_place` on its columns themselves, which are then
+    left reduced: for a matrix that is not read again.  When `unit_rows` is
+    a list, the row of every +-1 pivot of the unit elimination is appended
+    to it, in pivot order.
     """
+    if not in_place:
+        m = IntegerMatrix(m.rows, m.cols, columns={j: dict(col) for j, col in m.columns.items()})
     pivot_rows, leftover = _eliminate_units(m)
     if unit_rows is not None:
         unit_rows.extend(pivot_rows)
@@ -262,8 +275,8 @@ class HomologyProfile:
         return not self.torsion
 
 
-def _element_matching(cells: SimplicialComplex) -> tuple[list[int], list[set[int]]]:
-    """Per dimension d, the number of critical d-cells and the indices of the d-cells paired up.
+def _element_matching(cells: SimplicialComplex) -> list[int]:
+    """The number of critical cells per dimension of a run of element matchings on the cells.
 
     Jonsson's element matchings on the cells' bitmasks: for each x in index
     order that lies in some cell (the excised edge never does), an unpaired
@@ -271,22 +284,22 @@ def _element_matching(cells: SimplicialComplex) -> tuple[list[int], list[set[int
     unpaired cells lie in adjacent dimensions.
     """
     layers = cells.faces_by_dim
-    unmatched = [dict(zip(layer, range(len(layer)))) for layer in layers] + [{}]
-    up: list[set[int]] = [set() for _ in unmatched]
-    steps = list(zip(unmatched, unmatched[1:], up))
+    unmatched = [set(layer) for layer in layers] + [set()]
+    steps = list(zip(unmatched, unmatched[1:]))
     rest = reduce(or_, chain.from_iterable(layers), 0)  # the elements in some cell
-    while rest and any(low and high for low, high, _ in steps):
+    while rest and any(low and high for low, high in steps):
         x = rest & -rest
         rest ^= x
-        for low, high, paired in steps:
+        for low, high in steps:
             pairs = [f for f in low if not f & x and f | x in high]
-            for f in pairs:
-                del high[f | x]
-            paired.update(map(low.pop, pairs))
-    return [*map(len, unmatched)], up
+            low.difference_update(pairs)
+            high.difference_update(f | x for f in pairs)
+    return [*map(len, unmatched)]
 
 
-def relative_homology(cells: SimplicialComplex) -> HomologyProfile:
+def relative_homology(
+    cells: SimplicialComplex, crit: Optional[Sequence[int]] = None
+) -> HomologyProfile:
     """Homology of a relative complex (K, L), given by its cells, with L acyclic.
 
     The cells are the faces of K not in L, and the empty face lies in L, so
@@ -297,39 +310,65 @@ def relative_homology(cells: SimplicialComplex) -> HomologyProfile:
     K is the union of del(e) and st(e), which meet in lk(e), so H~(K) =
     H(K, st e) = H(del e, lk e).
 
-    A run of element matchings is acyclic (Jonsson, Simplicial Complexes of
-    Graphs, LNM 1928, 2008) and pairs cells at +-1 entries, so a change of
-    basis splits the chains into the Morse complex on the critical cells
-    (Forman, Adv. Math. 1998) and one isomorphism Z -> Z per pair.  Where
-    dimension d or d-1 has no critical cell, the boundary d thus has no
-    torsion and a rank of p_d, its pairs of a (d-1)- and a d-cell.
+    `crit[d]` is the number of critical d-cells of an acyclic matching
+    whose Morse complex (Forman, Adv. Math. 1998) has this homology: on
+    these cells or on K, where the critical empty face is left out and
+    every other count moves down one dimension.  By default it is the
+    count of a run of element matchings on the cells (Jonsson, Simplicial
+    Complexes of Graphs, LNM 1928, 2008).  The Morse complex has no
+    boundary out of or into a dimension without critical cells, so it
+    splits into runs of dimensions that all hold some.  Hence the rule: the
+    boundary d is built and reduced only where crit[d] and crit[d-1] are
+    both nonzero, from the top dimension down, and it is the only source
+    of torsion in degree d-1.  Every other rank follows from the Betti
+    numbers: b_d = 0 where crit[d] = 0, and the top dimension of a run
+    takes b_d from the run's Euler characteristic, which the Morse complex
+    keeps, so the alternating sums of crit and of b over a run agree.
 
-    The other boundaries are reduced from the top down without the columns
-    of a set U of d-cells (clearing, after Chen and Kerber): the rows of the
-    +-1 pivots of the boundary d+1 if that was reduced, else the d-cells
-    paired upward.  U is unit-triangular against the boundary d+1 (in pivot
-    order, or in an order the acyclic matching gives), so each cell of U is,
-    up to a boundary, an integer sum of cells outside U, and its column is
-    an integer combination of the columns kept.
+    A boundary d is built without the columns of the rows of the +-1
+    pivots of the boundary d+1 when that was built (clearing, after Chen
+    and Kerber), and whole otherwise.  Those d-cells are unit-triangular
+    against the boundary d+1 in pivot order, so each is, up to a boundary,
+    an integer sum of the cells kept, and its column is an integer
+    combination of the columns kept: rank and factors stay the same.  No
+    face is counted here: on a graph the face count runs in `graph_homology`
+    or `excised_cells`, before the cells are walked.
     """
-    top = cells.dim
-    crit, up = _element_matching(cells) if top > 0 else ((), ())  # top < 1 builds no boundary
-    ranks = [0] * (top + 2)  # rank of the relative boundary d; zero for d = 0
+    if crit is None:
+        crit = _element_matching(cells)
+    top = max(cells.dim, len(crit) - 1)
+    crit = [*crit] + [0] * (top + 2 - len(crit))
+    ranks: dict[int, int] = {}  # rank of each relative boundary d that is built
     torsion: dict[int, tuple[int, ...]] = {}
-    cleared: set[int] = set()
+    cleared: Collection[int] = ()
     for d in range(top, 0, -1):
         if not (crit[d] and crit[d - 1]):
-            ranks[d], cleared = len(up[d - 1]), up[d - 1]
+            cleared = ()
             continue
         unit_rows: list[int] = []
-        rank, factors = smith_normal_form(boundary_matrix(cells, d, skip=cleared), unit_rows=unit_rows)
+        ranks[d], factors = smith_normal_form(
+            boundary_matrix(cells, d, skip=cleared), unit_rows=unit_rows, in_place=True
+        )
         cleared = set(unit_rows)
-        ranks[d] = rank
         nontrivial = tuple(x for x in factors if x > 1)
         if nontrivial:
             torsion[d - 1] = nontrivial
     torsion = dict(sorted(torsion.items()))  # lowest dimension first, as reported
-    betti = {d: b for d in range(top + 1) if (b := len(cells.faces(d)) - ranks[d] - ranks[d + 1])}
+    betti = {}
+    rank = 0  # of the boundary d; zero for d = 0
+    excess = 0  # sum of (-1)^j (crit[j] - b_j) for j < d, zero over each whole run
+    for d in range(top + 1):
+        size = len(cells.faces(d))
+        if d + 1 in ranks:
+            b = size - rank - ranks[d + 1]
+        elif crit[d]:  # the top of a run
+            b = crit[d] + (-1) ** d * excess
+        else:
+            b = 0
+        if b:
+            betti[d] = b
+        excess += (-1) ** d * (crit[d] - b)
+        rank = ranks.get(d + 1, size - rank - b)
     return HomologyProfile(betti, torsion)
 
 
@@ -417,30 +456,31 @@ def graph_homology(
 ) -> tuple[HomologyProfile, int]:
     """Reduced homology and reduced Euler characteristic of the complex of a graph.
 
-    The oracle of every route; it never builds K.  The face counts of
-    `_edge_counts` refuse an over-cap K and answer the complex of the
-    empty face and a cone.  Otherwise `_critical_cells` counts the critical
-    cells of an acyclic matching on K.  Where no two adjacent dimensions
-    both hold some, the Morse complex has no boundary, so the counts are
-    the Betti numbers, with no torsion, and no cell is walked.  Elsewhere
-    `relative_homology` reduces the cells of (K, st e) that `excised_cells`
-    walks.  On both paths the Euler characteristic is the alternating count
-    of the critical cells, which a Morse matching keeps; it is independent
-    of the Smith normal form.  Raises FaceCapExceededError when K has more
-    than `face_cap` faces.
+    The oracle of every route; it never builds K.  `_critical_cells` counts
+    the critical cells of an acyclic matching on K, and answers K = {empty
+    face} and a cone at the root of its tree.  Where no two adjacent
+    dimensions both hold some, the Morse complex has no boundary, so the
+    counts are the Betti numbers, with no torsion, and no cell is walked.
+    Elsewhere `relative_homology` takes the same counts, one dimension
+    down, to pick the boundaries of the cells of (K, st e) to reduce, and
+    `excised_cells` walks those cells.  On both paths the Euler
+    characteristic is the alternating count of the critical cells, which a
+    Morse matching keeps; it is independent of the Smith normal form.
+
+    Raises FaceCapExceededError when K has more than `face_cap` faces.  A
+    graph of m edges has at most 2^m faces, so the face count of
+    `_edge_counts` runs first, to refuse, only where m >= the bit length of
+    the cap; otherwise it runs only inside `excised_cells`, before a walk.
     """
     bounds = _checked(graph, bounds, face_cap)
-    counts, total = _edge_counts(graph, bounds, face_cap)
-    top = max(counts, default=0)
-    if not top:  # K has no vertex: the empty face is its one class
-        return HomologyProfile({-1: 1}, {}), -1
-    if total == 2 * top:  # K is the cone st(e)
-        return HomologyProfile(), 0
+    counts = None
+    if graph.num_edges >= face_cap.bit_length():  # below, 2^m <= face_cap
+        counts = _edge_counts(graph, bounds, face_cap)
     crit = _critical_cells(graph, bounds)
     euler = sum(c if k % 2 else -c for k, c in enumerate(crit))
     if any(map(min, zip(crit, crit[1:]))):  # critical cells in adjacent dimensions
-        cells = excised_cells(graph, bounds, face_cap, counts=(counts, total))
-        return relative_homology(cells), euler
+        cells = excised_cells(graph, bounds, face_cap, counts=counts)
+        return relative_homology(cells, crit[1:]), euler
     return HomologyProfile({k - 1: c for k, c in enumerate(crit) if c}), euler
 
 
@@ -449,7 +489,8 @@ def reduced_homology(k: SimplicialComplex) -> HomologyProfile:
 
     The excision of `graph_homology` on a face list: for the element e in
     the most faces (the smallest on ties), the cells are the faces whose
-    union with e is not a face, and `relative_homology` reduces them.  No
+    union with e is not a face, and `relative_homology` reduces them by the
+    counts of its default, a run of element matchings on the cells.  No
     route calls it; it serves complexes that no graph gives, such as RP^2.
     """
     if k.dim < 0:

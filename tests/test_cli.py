@@ -11,7 +11,7 @@ import pytest
 
 import bdcomplex
 from bdcomplex import cli
-from bdcomplex.cli import main
+from bdcomplex.cli import BATCH_CHUNK, main
 from bdcomplex.harness import POOL_READ_AHEAD
 
 
@@ -487,11 +487,12 @@ class TestBatch:
         assert events == ["read", "write"] * 3
 
     def test_two_jobs_read_a_bounded_number_of_lines_ahead(self, capsys, monkeypatch):
-        lines = self.lines() * 20
+        lines = self.lines() * 120  # more than the pool reads ahead
         code, out, events = self.traced_batch(capsys, monkeypatch, lines, ["batch", "--jobs", "2"])
         assert code == 0
-        # the batch pool takes one line per task from two workers
-        ahead = POOL_READ_AHEAD * 2
+        # the batch pool takes BATCH_CHUNK lines per task from two workers
+        ahead = POOL_READ_AHEAD * 2 * BATCH_CHUNK
+        assert len(lines) > ahead + BATCH_CHUNK
         reads = writes = 0
         for event in events:
             if event == "read":

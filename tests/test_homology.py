@@ -12,7 +12,13 @@ from bdcomplex import homology
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdcomplex.complexes import SimplicialComplex, build_complex, excised_cells, reduced_euler
+from bdcomplex.complexes import (
+    DEFAULT_FACE_CAP,
+    SimplicialComplex,
+    build_complex,
+    excised_cells,
+    reduced_euler,
+)
 from bdcomplex.errors import FaceCapExceededError
 from bdcomplex.graph import (
     CaterpillarSpec,
@@ -194,6 +200,9 @@ class TestSmithNormalForm:
             got = smith_normal_form(m, unit_rows=pivots)
             assert got == smith_normal_form(rebuilt, unit_rows=rebuilt_pivots)
             assert pivots == rebuilt_pivots and len(pivots) == got[0] > 0
+            # reduced in place, as the oracle does, a matrix gives the same and is left reduced
+            nnz = m.nnz
+            assert smith_normal_form(m, in_place=True) == got and m.nnz < nnz
 
 
 class TestReducedHomology:
@@ -284,9 +293,9 @@ def record_cells(monkeypatch):
     real = homology.relative_homology
     cells = []
 
-    def recording(k):
+    def recording(k, crit=None):
         cells.append(k)
-        return real(k)
+        return real(k, crit)
 
     monkeypatch.setattr(homology, "relative_homology", recording)
     return cells
@@ -453,6 +462,46 @@ class TestGraphOracle:
         check()
         assert routes["counts"] and routes["walk"]
 
+    # under 23 edges a graph has at most 2^22 faces, within the default cap
+    UNCOUNTED = {
+        "C14-ones": (gen_cycle(14), (1,) * 14, HomologyProfile({4: 1}, {}), 1),
+        "cone-m33331": (*gen_caterpillar(CaterpillarSpec((3, 3, 3, 3, 1), (2,) * 5)), HomologyProfile(), 0),
+        "K7-matching": (
+            make_graph(7, list(itertools.combinations(range(7), 2))), (1,) * 7,
+            HomologyProfile({2: 20}, {1: (3,)}), 20,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(UNCOUNTED))
+    def test_faces_are_not_counted_where_the_cap_cannot_bind(self, name, monkeypatch):
+        g, b, profile, euler = self.UNCOUNTED[name]
+        assert g.num_edges < DEFAULT_FACE_CAP.bit_length() == 23
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("faces counted before the matching tree")
+
+        monkeypatch.setattr(homology, "_edge_counts", refuse)
+        assert graph_homology(g, b) == (profile, euler)
+
+    def test_faces_are_counted_first_where_the_cap_can_bind(self, monkeypatch):
+        g = make_graph(8, list(itertools.combinations(range(8), 2)))
+        real = homology._edge_counts
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(homology, "_edge_counts", recording)
+        assert graph_homology(g, (1,) * 8) == (HomologyProfile({2: 132}, {}), 132)
+        assert g.num_edges == 28 and len(calls) == 1
+
+    @pytest.mark.parametrize("n, cap", [(33, DEFAULT_FACE_CAP), (20, 1000)])
+    def test_over_cap_cycles_are_still_refused(self, n, cap):
+        # all-ones C33 has 7,881,195 faces and C20 15,126, the empty face left out
+        with pytest.raises(FaceCapExceededError, match=f"^more than {cap} faces in bounded degree complex$"):
+            graph_homology(gen_cycle(n), (1,) * n, cap)
+
 
 def assert_tree_matching(g, b, k):
     """The tree's matching on the faces of `k` is an acyclic matching that leaves the counted cells."""
@@ -558,8 +607,7 @@ class TestElementMatching:
 
     def test_cells_paired_upward_are_cleared(self, monkeypatch):
         # critical cells in dimensions 2 and 3 only: the boundary 4 is not
-        # built, and the boundary 3 is built without the four 3-cells paired
-        # with 4-cells
+        # built, so nothing clears the boundary 3, which is built whole
         g = make_graph(7, [(0, 3), (0, 5), (0, 6), (1, 2), (1, 3), (2, 3), (2, 6), (3, 4), (4, 5), (5, 6)])
         b = (3, 1, 4, 2, 3, 1, 1)
         real = homology.boundary_matrix
@@ -571,16 +619,17 @@ class TestElementMatching:
 
         monkeypatch.setattr(homology, "boundary_matrix", recording)
         h, euler = graph_homology(g, b)
-        assert built == [(3, 4)]
+        assert built == [(3, 0)]
         k = build_complex(g, b)
         assert h == reference_reduced_homology(k) == HomologyProfile({2: 2, 3: 2}, {})
         assert euler == reduced_euler(k)
 
     # the complexes of the benchmark's `compute` workload, in its edge order:
     # the matching tree's critical cells by number of edges, the path that
-    # answers, and on the walk the element matchings' critical cells per
-    # dimension and the boundaries the oracle builds (on the counts the
-    # walk is not run, and the vectors are those it would find)
+    # answers, the element matchings' critical cells per dimension on the
+    # walked cells, and the boundaries the oracle builds, where the tree's
+    # counts lie in adjacent dimensions (on the counts the walk is not
+    # run, and the element matchings' vector is the one it would find)
     WORK = {
         "caterpillar-m3333": (
             gen_caterpillar(CaterpillarSpec((3,) * 4, (2,) * 4)), [0, 0, 0, 0, 0, 4, 24, 12, 1], "walk",
@@ -588,7 +637,7 @@ class TestElementMatching:
         ),
         "caterpillar-m22222": (
             gen_caterpillar(CaterpillarSpec((2,) * 5, (2,) * 5)), [0, 0, 0, 0, 0, 0, 1, 2], "walk",
-            [0, 0, 0, 0, 0, 2, 4, 1, 0, 0], [7, 6],
+            [0, 0, 0, 0, 0, 2, 4, 1, 0, 0], [6],
         ),
         "C14-ones": (
             (gen_cycle(14), (1,) * 14), [0, 0, 0, 0, 0, 1], "counts", [0, 0, 0, 0, 1, 0, 0, 0], [],
@@ -613,7 +662,7 @@ class TestElementMatching:
     def test_compute_complexes_keep_their_work(self, name, monkeypatch):
         (g, b), tree, path, crit, dims = self.WORK[name]
         assert homology._critical_cells(g, b) == tree
-        assert homology._element_matching(excised_cells(g, b))[0] == crit
+        assert homology._element_matching(excised_cells(g, b)) == crit
         real = homology.boundary_matrix
         built = []
 
@@ -627,6 +676,19 @@ class TestElementMatching:
         assert ("walk" if walks else "counts") == path
         assert built == (dims if walks else [])
 
+    def test_two_runs_of_critical_cells(self, monkeypatch):
+        # RP^2 on the vertices 0-5 and the boundary of the 5-simplex on 5-10,
+        # glued at the vertex 5: the element matchings leave critical cells
+        # in the dimensions 1, 2 and 4, two runs, so the Betti number at the
+        # top of the run 4 is found past the whole run 1-2
+        facets = RP2_FACETS + list(itertools.combinations(range(5, 11), 5))
+        k = from_maximal_faces(11, facets)
+        cells = record_cells(monkeypatch)
+        h = reduced_homology(k)
+        (rel,) = cells
+        assert homology._element_matching(rel) == [0, 1, 1, 0, 1, 0]
+        assert h == reference_reduced_homology(k) == HomologyProfile({4: 1}, {1: (2,)})
+
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(st.data())
     def test_morse_inequalities(self, data):
@@ -634,7 +696,7 @@ class TestElementMatching:
         cells = excised_cells(g, b)
         if cells is None:
             return
-        crit, _ = homology._element_matching(cells)
+        crit = homology._element_matching(cells)
         # the cells leave out the empty face, which reduced_euler counts
         assert sum((-1) ** d * c for d, c in enumerate(crit)) == reduced_euler(cells) + 1
         betti = homology.relative_homology(cells).betti

@@ -1,5 +1,6 @@
 """Closed-form homotopy types for stars and leafy caterpillars, and the
-reduction of cycle instances to path instances.
+free-vertex split that cuts a graph with cycles into a graph with the same
+faces, often a forest.
 
 The caterpillar formula sums over subsets T of spine edges: each T
 contributes spheres of dimension (total spine bound) - |T| - 1 with
@@ -15,8 +16,8 @@ from __future__ import annotations
 from math import comb
 from typing import Optional, Sequence
 
-from .errors import HypothesisViolatedError, InvalidSizeError, InvalidStarError
-from .graph import CaterpillarSpec, DegreeBounds, Graph, gen_path
+from .errors import HypothesisViolatedError, InvalidStarError
+from .graph import CaterpillarSpec, DegreeBounds, Graph, validate_bounds
 from .recursion import SphereCounts
 
 
@@ -69,33 +70,38 @@ def caterpillar_closed_form(spec: CaterpillarSpec) -> SphereCounts:
 
 
 def cycle_reduce(
-    n: int, bounds: Sequence[int]
-) -> Optional[tuple[Graph, DegreeBounds, tuple[Optional[int], ...]]]:
-    """Path instance whose complex equals that of the cycle instance.
+    graph: Graph, bounds: Sequence[int]
+) -> Optional[tuple[Graph, DegreeBounds, tuple[int, ...]]]:
+    """A graph, often a forest, whose complex equals that of (graph, bounds).
 
-    The cycle is rotated so the first bound different from 1 sits at the last
-    position.  A zero bound there disconnects the cycle into a shorter path;
-    a bound of at least 2 makes the constraint at that vertex slack enough to
-    split it into the two ends of a longer path.  Returns (path, path bounds,
-    edge map), where the edge map sends cycle edge k (joining vertices k and
-    k+1 mod n) to its path edge, or to None when the cut kills it.  Returns
-    None when every bound is 1, where no such reduction exists.
+    An edge at a vertex of bound 0 is in no face, so it is dropped.  A
+    vertex whose bound is at least its number of live edges (edges whose
+    other end has bound >= 1) constrains nothing, so it keeps its first live
+    edge and each of its other live edges moves to a new vertex of bound 1.
+    A cycle is cut at a 0 or split at a bound >= 2 into a path.  Returns
+    (graph, bounds, kept), where new edge i is original edge kept[i] and
+    the edge order is kept, or None when nothing changes.
     """
-    bounds = tuple(int(b) for b in bounds)
-    if n < 3 or len(bounds) != n:
-        raise InvalidSizeError("cycle instances need n >= 3 matching bounds")
-    if any(b < 0 for b in bounds):
-        raise ValueError("degree bounds must be non-negative")
-    pivot = next((i for i, b in enumerate(bounds) if b != 1), None)
-    if pivot is None:
+    bounds = validate_bounds(graph, bounds)
+    kept = tuple(i for i, (u, v) in enumerate(graph.edges) if bounds[u] and bounds[v])
+    live = [0] * graph.num_vertices
+    for i in kept:
+        for v in graph.edges[i]:
+            live[v] += 1
+    free = [2 <= d <= b for d, b in zip(live, bounds)]
+    if len(kept) == graph.num_edges and not any(free):
         return None
-    rotated = bounds[pivot + 1 :] + bounds[: pivot + 1]
-    last = rotated[n - 1]
-    if last == 0:
-        # path vertex j is cycle vertex pivot+1+j; the two edges at the pivot die
-        shifted = ((k - pivot - 1) % n for k in range(n))
-        edge_map = tuple(j if j <= n - 3 else None for j in shifted)
-        return gen_path(n - 1), rotated[: n - 1], edge_map
-    # path vertex j is cycle vertex pivot+j; the pivot is both ends 0 and n
-    edge_map = tuple((k - pivot) % n for k in range(n))
-    return gen_path(n + 1), (1,) + rotated[: n - 1] + (last - 1,), edge_map
+    new_bounds = list(bounds)
+    taken = [False] * graph.num_vertices
+    edges = []
+    for i in kept:
+        ends = []
+        for v in graph.edges[i]:
+            if free[v] and taken[v]:
+                v = len(new_bounds)
+                new_bounds.append(1)
+            else:
+                taken[v] = True
+            ends.append(v)
+        edges.append(tuple(ends))
+    return Graph(len(new_bounds), tuple(edges)), tuple(new_bounds), kept

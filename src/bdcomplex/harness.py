@@ -10,12 +10,12 @@ two shards.  A pool task (through `pool_map`) takes whole shards.  The
 forest task (`_forest_task`) builds each graph's `ForestPlan` once, names
 every instance's class by the plan's canonical code of its clamped bounds,
 runs the homology oracle once per class and the plan's forest recursion
-once per instance; the cycle task (`_cycle_task`) checks one cycle's
-reduction to a path.  The parent then checks every instance (`_check`),
-duplicates included, against the result of its class, in the order the
-instances were listed.  The clamping and relabeling equivalences themselves
-are covered by dedicated tests and by seeded raw-instance spot checks in
-the forest sweep.
+once per instance; the cycle task (`_cycle_task`) checks, face for face,
+the forest that `cycle_reduce` splits one cycle into.  The parent then
+checks every instance (`_check`), duplicates included, against the result
+of its class, in the order the instances were listed.  The clamping and
+relabeling equivalences themselves are covered by dedicated tests and by
+seeded raw-instance spot checks in the forest sweep.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .graph import (
     forest_plan,
     gen_caterpillar,
     gen_cycle,
+    is_forest,
     make_graph,
     nonisomorphic_forests,
     random_forest,
@@ -147,22 +148,6 @@ def instance_json(graph: Graph, bounds: Sequence[int]) -> dict:
     }
 
 
-def _cycle_order(graph: Graph) -> Optional[list[int]]:
-    """Vertices of a cycle graph in cyclic order, or None if not a cycle."""
-    n = graph.num_vertices
-    if n < 3 or graph.num_edges != n or any(d != 2 for d in graph.degrees()):
-        return None
-    adj = graph.adjacency()
-    order = [0, adj[0][0]]
-    while len(order) < n:
-        a, b = adj[order[-1]]
-        nxt = a if a != order[-2] else b
-        if nxt == 0:
-            return None  # disconnected union of cycles
-        order.append(nxt)
-    return order
-
-
 @dataclass
 class ComputeResult:
     method_used: str
@@ -181,7 +166,8 @@ def compute_instance(
     """Dispatch an instance to the requested computation method.
 
     `auto` prefers the closed form, then the forest recursion, then the
-    cycle-to-path reduction, and falls back to the homology oracle.
+    recursion on the forest that `cycle_reduce` cuts a graph with cycles
+    into, and falls back to the homology oracle.
     """
     if method not in METHODS:
         raise MethodMismatchError(f"unknown method {method!r}")
@@ -211,13 +197,9 @@ def compute_instance(
             raise MethodMismatchError("recursion applies to forests only") from None
     else:
         return done("recursion", plan_counts(plan, instance.bounds))
-    order = _cycle_order(instance.graph)
-    if order is not None:
-        bounds = tuple(instance.bounds[v] for v in order)
-        reduced = cycle_reduce(len(order), bounds)
-        if reduced is not None:
-            path, path_bounds, _ = reduced
-            return done("cycle-reduce", sphere_counts(path, path_bounds))
+    reduced = cycle_reduce(instance.graph, instance.bounds)
+    if reduced is not None and is_forest(reduced[0]):
+        return done("cycle-reduce", plan_counts(forest_plan(reduced[0]), reduced[1]))
     profile, _ = graph_homology(instance.graph, instance.bounds, face_cap)
     return done("homology", wedge_profile(profile), profile)
 
@@ -449,7 +431,7 @@ def _check(report: VerifyReport, graph: Graph, bounds: DegreeBounds, extra, resu
 
     `result` is (oracle, counts, faults), where faults are reasons found
     while computing that the instance disagrees, or None for a cycle that
-    does not reduce.  `extra` maps a route to its counts, or is None.
+    nothing splits.  `extra` maps a route to its counts, or is None.
     """
     report.instances += 1
     if result is None:
@@ -588,27 +570,26 @@ def sweep_matching_caterpillars(
 
 
 def _cycle_worker(graph: Graph, bounds: DegreeBounds, face_cap: int):
-    """(oracle of the cycle, path counts, faults of its reduction), or None if irreducible."""
-    reduced = cycle_reduce(graph.num_vertices, bounds)
+    """(oracle of the cycle, split counts, faults of its split), or None if nothing splits."""
+    reduced = cycle_reduce(graph, bounds)
     if reduced is None:
         return None
-    path, path_bounds, edge_map = reduced
-    cyc = build_complex(graph, bounds, face_cap)
-    pk = build_complex(path, path_bounds, face_cap)
+    split, split_bounds, kept = reduced
+    cyc_faces = build_complex(graph, bounds, face_cap).face_set
+    split_faces = build_complex(split, split_bounds, face_cap).face_set
     faults = []
-    cyc_faces = cyc.face_set
-    killed = sum(1 << i for i, j in enumerate(edge_map) if j is None)
-    moves = [(1 << i, 1 << j) for i, j in enumerate(edge_map) if j is not None]
+    killed = (1 << graph.num_edges) - 1 - sum(1 << i for i in kept)
+    back = [1 << i for i in kept]
     if any(face & killed for face in cyc_faces):
         faults.append("killed edge in face")
-    elif {sum(to for bit, to in moves if face & bit) for face in cyc_faces} != pk.face_set:
+    elif {sum(to for j, to in enumerate(back) if face >> j & 1) for face in split_faces} != cyc_faces:
         faults.append("face sets differ")
     cyc_h, euler = graph_homology(graph, bounds, face_cap)
-    # equal face sets make one complex, so only a fault asks for the path's homology
-    if faults and cyc_h != graph_homology(path, path_bounds, face_cap)[0]:
+    # equal face sets make one complex, so only a fault asks for the split's homology
+    if faults and cyc_h != graph_homology(split, split_bounds, face_cap)[0]:
         faults.append("homology differs")
     oracle = ClassOracle(wedge_profile(cyc_h), cyc_h.torsion, euler)
-    return oracle, sphere_counts(path, path_bounds), faults
+    return oracle, sphere_counts(split, split_bounds), faults
 
 
 def _cycle_task(face_cap: int, shards) -> list:
@@ -624,11 +605,14 @@ def sweep_cycles(
     jobs: int = 1,
     face_cap: int = DEFAULT_FACE_CAP,
 ) -> VerifyReport:
-    """Verify the cycle-to-path reduction face-for-face plus homology.
+    """Verify the free-vertex split of cycles face-for-face plus homology.
 
     Instances: cycles C_n for n in `ns`, last bound ranging over
-    `last_bounds`, all other bounds over {0..max_bound}.  Each instance is
-    its own class, since the reduction depends on where the bounds sit.
+    `last_bounds`, all other bounds over {0..max_bound}.  `cycle_reduce`
+    cuts each at its 0s and splits it at its bounds >= 2 into a forest; a
+    face of the forest, mapped back through the kept edges, must be a face
+    of the cycle, and the two face sets must be equal.  Each instance is its
+    own class, since the split depends on where the bounds sit.
     """
     report = VerifyReport(
         "cycles",

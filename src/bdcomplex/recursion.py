@@ -161,8 +161,10 @@ def plan_counts(plan: ForestPlan, bounds: Sequence[int]) -> SphereCounts:
                 # a leaf child with bound >= 1 is one more live leaf at p
                 states[p] = {(j, r + 1): w for (j, r), w in parent.items()}
             continue  # a leaf child with bound 0 leaves p as it is
+        if mine is None:
+            continue  # a lone vertex's {-1: 1} is the identity of the join
         tree: SphereCounts = {}
-        for (j, r), w in (_START if mine is None else mine).items():
+        for (j, r), w in mine.items():
             k = bounds[v] - j
             shift, mult = 0, 1
             if r and k:

@@ -2,6 +2,8 @@ import itertools
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdcomplex.caterpillar import (
     caterpillar_closed_form,
@@ -13,14 +15,24 @@ from bdcomplex.errors import (
     HypothesisViolatedError,
     InvalidSizeError,
     InvalidStarError,
+    ParseError,
 )
-from bdcomplex.graph import CaterpillarSpec, gen_caterpillar, gen_cycle
-from bdcomplex.homology import reduced_homology
-from bdcomplex.recursion import sphere_counts
+from bdcomplex.graph import (
+    CaterpillarSpec,
+    forest_plan,
+    gen_caterpillar,
+    gen_cycle,
+    is_forest,
+    make_graph,
+)
+from bdcomplex.harness import parse_instance
+from bdcomplex.homology import graph_homology, reduced_homology, wedge_profile
+from bdcomplex.recursion import plan_counts, sphere_counts
 
 from oracles import (
     SpineSubset,
     face_tuple,
+    graph_with_cycles,
     reference_caterpillar_counts,
     spine_subsets,
     tuple_faces,
@@ -129,66 +141,96 @@ class TestClosedForm:
                     assert caterpillar_closed_form(spec) == sphere_counts(g, b), spec
 
 
-def mapped_faces(k, mapping):
-    out = set()
-    for face in map(face_tuple, k.face_set):
-        assert all(mapping[i] is not None for i in face)
-        out.add(tuple(sorted(mapping[i] for i in face)))
-    return out
+def mapped_back(split_complex, kept):
+    """Faces of the split graph's complex, as tuples of original edge indices."""
+    return {tuple(sorted(kept[i] for i in face)) for face in map(face_tuple, split_complex.face_set)}
+
+
+def live_edges(graph, bounds):
+    live = [0] * graph.num_vertices
+    for u, v in graph.edges:
+        if bounds[u] and bounds[v]:
+            live[u] += 1
+            live[v] += 1
+    return live
 
 
 class TestCycleReduce:
     def test_slack_vertex_splits(self):
-        reduced = cycle_reduce(3, (1, 1, 2))
+        reduced = cycle_reduce(gen_cycle(3), (1, 1, 2))
         assert reduced is not None
-        path, bounds, _ = reduced
-        assert path.num_vertices == 4 and bounds == (1, 1, 1, 1)
-        assert sphere_counts(path, bounds) == {0: 1}
+        split, bounds, kept = reduced
+        # vertex 2 keeps its first edge (1, 2); (0, 2) moves to a new vertex 3
+        assert split.edges == ((0, 1), (1, 2), (0, 3)) and bounds == (1, 1, 2, 1)
+        assert kept == (0, 1, 2) and is_forest(split)
+        assert sphere_counts(split, bounds) == {0: 1}
 
     def test_dead_vertex_cuts(self):
-        reduced = cycle_reduce(4, (1, 1, 1, 0))
+        reduced = cycle_reduce(gen_cycle(4), (1, 1, 1, 0))
         assert reduced is not None
-        path, bounds, _ = reduced
-        assert path.num_vertices == 3 and bounds == (1, 1, 1)
+        split, bounds, kept = reduced
+        assert split.edges == ((0, 1), (1, 2)) and bounds == (1, 1, 1, 0)
+        assert kept == (0, 1)
 
     def test_all_ones_not_reducible(self):
-        assert cycle_reduce(5, (1, 1, 1, 1, 1)) is None
-
-    def test_rotation_picks_first_nonunit(self):
-        # bound 2 at position 0 rotates to the end before splitting
-        reduced = cycle_reduce(4, (2, 1, 1, 1))
-        assert reduced is not None
-        path, bounds, _ = reduced
-        assert path.num_vertices == 5 and bounds == (1, 1, 1, 1, 1)
+        assert cycle_reduce(gen_cycle(5), (1, 1, 1, 1, 1)) is None
 
     def test_too_small_rejected(self):
+        # the split takes any graph; a cycle shorthand is refused below n = 3
+        # where its graph is built
         with pytest.raises(InvalidSizeError):
-            cycle_reduce(2, (1, 1))
-        with pytest.raises(InvalidSizeError):
-            cycle_reduce(3, (1, 1))
+            gen_cycle(2)
+        for n, lam in ((2, [1, 1]), (3, [1, 1])):
+            with pytest.raises(ParseError):
+                parse_instance({"cycle": {"n": n, "lambda": lam}})
 
     def test_triangle_face_sets_match(self):
         bounds = (1, 1, 2)
         cyc = build_complex(gen_cycle(3), bounds)
         assert tuple_faces(cyc) == {(0,), (1,), (2,), (1, 2)}
-        path, path_bounds, mapping = cycle_reduce(3, bounds)
-        assert mapping == (1, 2, 0)
-        pk = build_complex(path, path_bounds)
-        assert mapped_faces(cyc, mapping) == tuple_faces(pk)
+        split, split_bounds, kept = cycle_reduce(gen_cycle(3), bounds)
+        assert mapped_back(build_complex(split, split_bounds), kept) == tuple_faces(cyc)
 
     def test_face_sets_match_small_sweep(self):
         for n in (3, 4, 5):
             for rest in itertools.product(range(3), repeat=n - 1):
                 for last in (0, 2):
                     bounds = rest + (last,)
-                    reduced = cycle_reduce(n, bounds)
+                    reduced = cycle_reduce(gen_cycle(n), bounds)
                     assert reduced is not None
-                    path, path_bounds, mapping = reduced
+                    split, split_bounds, kept = reduced
+                    assert is_forest(split)
                     cyc = build_complex(gen_cycle(n), bounds)
-                    pk = build_complex(path, path_bounds)
-                    killed = {i for i, j in enumerate(mapping) if j is None}
-                    assert all(
-                        not (set(face_tuple(face)) & killed) for face in cyc.face_set
-                    )
-                    assert mapped_faces(cyc, mapping) == tuple_faces(pk)
-                    assert reduced_homology(cyc) == reduced_homology(pk)
+                    sk = build_complex(split, split_bounds)
+                    assert mapped_back(sk, kept) == tuple_faces(cyc)
+                    assert reduced_homology(cyc) == reduced_homology(sk)
+
+    def test_friendship_graph_splits_into_paths(self):
+        # ten triangles on a hub of bound 20: the hub is free, and each
+        # triangle becomes a path on four vertices, whose complex is S^0
+        edges = [e for i in range(10) for e in ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2))]
+        graph = make_graph(21, edges)
+        split, bounds, kept = cycle_reduce(graph, (20,) + (1,) * 20)
+        assert kept == tuple(range(30)) and split.num_vertices == 40 and is_forest(split)
+        assert sphere_counts(split, bounds) == {9: 1}
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_split_keeps_the_faces_of_graphs_with_cycles(self, data):
+        graph, bounds = graph_with_cycles(data)
+        reduced = cycle_reduce(graph, bounds)
+        live = live_edges(graph, bounds)
+        changes = any(bounds[u] == 0 or bounds[v] == 0 for u, v in graph.edges) or any(
+            2 <= d <= b for d, b in zip(live, bounds)
+        )
+        assert (reduced is None) == (not changes)
+        if reduced is None:
+            return
+        split, split_bounds, kept = reduced
+        assert list(kept) == sorted(kept)
+        assert mapped_back(build_complex(split, split_bounds), kept) == tuple_faces(
+            build_complex(graph, bounds)
+        )
+        if is_forest(split):
+            expected = wedge_profile(graph_homology(graph, bounds)[0])
+            assert plan_counts(forest_plan(split), split_bounds) == expected

@@ -253,6 +253,35 @@ class TestCompute:
         assert obj["method"] == "homology"
         assert obj["spheres"] == {"1": 4}
 
+    def test_friendship_graph_splits_where_the_oracle_refused(self, capsys, tmp_path):
+        # ten triangles on a hub of bound 20: the oracle refuses it at the
+        # face cap, while the free hub splits it into ten paths
+        edges = [e for i in range(10) for e in ([0, 2 * i + 1], [0, 2 * i + 2], [2 * i + 1, 2 * i + 2])]
+        f10 = {"n": 21, "edges": edges, "lambda": [20] + [1] * 20}
+        path = write_instance(tmp_path, f10)
+        code, out, _ = run(capsys, ["compute", path])
+        assert code == 0
+        assert out.endswith('"method":"cycle-reduce","contractible":false,"spheres":{"9":1}}\n')
+        code, out, _ = run(capsys, ["compute", path, "--method", "homology"])
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "FaceCapExceededError"
+
+    def test_free_hub_splits_as_the_oracle_answers(self, capsys, tmp_path):
+        bowtie = {
+            "n": 5,
+            "edges": [[0, 1], [0, 2], [1, 2], [0, 3], [0, 4], [3, 4]],
+            "lambda": [4, 1, 1, 1, 1],
+        }
+        path = write_instance(tmp_path, bowtie)
+        objs = []
+        for method in ("auto", "homology"):
+            code, out, _ = run(capsys, ["compute", path, "--method", method])
+            assert code == 0
+            objs.append(json.loads(out))
+        assert [o["method"] for o in objs] == ["cycle-reduce", "homology"]
+        assert "homology" not in objs[0]
+        assert objs[0]["spheres"] == objs[1]["spheres"] == {"1": 1}
+
     def test_torsion_reported_as_not_wedge_consistent(self, capsys, tmp_path):
         import itertools
 

@@ -86,15 +86,17 @@ class TestSweepFailures:
     def test_cycle_edge_map_killing_a_face_edge_is_a_mismatch(self, monkeypatch):
         real = harness.cycle_reduce
 
-        def kill_first_edge(n, bounds):
-            path, path_bounds, edge_map = real(n, bounds)
-            return path, path_bounds, (None,) + edge_map[1:]
+        def kill_first_edge(graph, bounds):
+            # the split's first edge is read back as its second: the first
+            # kept edge of the cycle is lost
+            split, split_bounds, kept = real(graph, bounds)
+            return split, split_bounds, kept[1:2] + kept[1:]
 
         monkeypatch.setattr(harness, "cycle_reduce", kill_first_edge)
         report = sweep_cycles([3], 1, (2,))
         assert report.instances == report.classes == 4
-        reasons = [m.get("reason") for m in report.mismatches]
-        assert "killed edge in face" in reasons
+        reasons = {m.get("reason") for m in report.mismatches}
+        assert reasons & {"killed edge in face", "face sets differ"}
         assert report.ok is False and report.agreements < 4
 
     def _corrupt(self, monkeypatch, wrong_on):
@@ -213,7 +215,7 @@ class TestBenchmarkBindings:
             assert harness.compute_instance(m33, method="homology").homology.betti == {2: 4, 3: 1}
             # the oracle walks only the cells of the graph; the cycle check
             # still builds whole complexes, here of C3 with bounds (2, 1, 1)
-            # and of the path it reduces to
+            # and of the path it splits into
             assert harness._cycle_worker(gen_cycle(3), (2, 1, 1), DEFAULT_FACE_CAP)[2] == []
         finally:
             uninstall()
@@ -287,14 +289,13 @@ class TestComputeInstance:
         assert plans == [forest.graph] * 2
 
     def test_a_cycle_is_not_a_forest(self, monkeypatch):
-        real_counts = harness.sphere_counts
         plans = self._count_plans(monkeypatch)
         cycle = harness.parse_instance({"cycle": {"n": 5, "lambda": [2, 1, 1, 1, 1]}})
         with pytest.raises(MethodMismatchError, match="recursion applies to forests only"):
             harness.compute_instance(cycle, "recursion")
-        # the cycle route counts the reduced path with sphere_counts; forest_plan stays counted
-        monkeypatch.setattr(harness, "sphere_counts", real_counts)
         res = harness.compute_instance(cycle)
         assert res.method_used == "cycle-reduce"
         assert res.spheres == harness.compute_instance(cycle, "homology").spheres
-        assert plans == [cycle.graph] * 2
+        # the cycle is tried as a forest twice; the forest it splits into is planned once
+        split = harness.cycle_reduce(cycle.graph, cycle.bounds)[0]
+        assert plans == [cycle.graph] * 2 + [split]

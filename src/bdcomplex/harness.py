@@ -1,30 +1,30 @@
 """Instance model, method dispatch, and batch verification sweeps.
 
-Every sweep runs one pipeline (`_sweep`): it lists (graph, bounds, extra)
-instances and splits them into shards, one per isomorphism class of the
-bare graph: a forest of the forest sweep, a caterpillar together with its
-reversal, a single cycle instance.  Two instances whose (forest, bounds)
-pairs are isomorphic after clamping each bound at the vertex degree have
-equal complexes up to relabeling, so a class of such instances never spans
-two shards.  A pool task (through `pool_map`) takes whole shards.  The
-forest task (`_forest_task`) builds each graph's `ForestPlan` once, names
-every instance's class by the plan's canonical code of its clamped bounds,
-runs the homology oracle once per class and the plan's forest recursion
-once per instance; the cycle task (`_cycle_task`) checks, face for face,
-the forest that `cycle_reduce` splits one cycle into.  The parent then
-checks every instance (`_check`), duplicates included, against the result
-of its class, in the order the instances were listed.  The clamping and
-relabeling equivalences themselves are covered by dedicated tests and by
-seeded raw-instance spot checks in the forest sweep.
+Every sweep runs one pipeline (`_sweep`) on the shards its generator
+yields: lists of (graph, bounds, extra) instances that hold whole classes.
+Two instances whose (forest, bounds) pairs are isomorphic after clamping
+each bound at the vertex degree have equal complexes up to relabeling, so a
+shard holds all the instances of the graphs of one isomorphism class of the
+bare graph (or one cycle instance).  Consecutive shards go to a pool task
+(through `pool_map`) until it holds `TASK_SIZE` instances.  The forest task
+(`_forest_task`) builds each graph's `ForestPlan` once, names every
+instance's class by the plan's canonical code of its clamped bounds, runs
+the homology oracle once per class and the plan's forest recursion once per
+instance; the cycle task (`_cycle_task`) checks, face for face, the forest
+that `cycle_reduce` splits one cycle into.  As each task comes back the
+parent checks its instances (`_check`), duplicates included, in the order
+listed.  The clamping and relabeling equivalences themselves are covered by
+dedicated tests and by seeded raw-instance spot checks in the forest sweep.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Optional, Sequence
@@ -279,21 +279,31 @@ def clamped_bound_grid(graph: Graph, max_bound: int):
 POOL_READ_AHEAD = 4
 
 
-def pool_map(fn, tasks, jobs: int):
-    """Yield `fn` over `tasks` in task order, from a pool of `jobs` processes if jobs > 1.
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    `tasks` is read lazily: at jobs > 1 at most POOL_READ_AHEAD * jobs
-    tasks are taken from it beyond the results yielded so far.
+
+def pool_map(fn, tasks, jobs: int):
+    """Yield `fn` over `tasks` in task order, from a process pool if jobs > 1.
+
+    The pool has `jobs` workers, but no more than `usable_cpus()`.  `tasks`
+    is read lazily: at jobs > 1 at most POOL_READ_AHEAD tasks per worker are
+    taken from it beyond the results yielded so far.
     """
     if jobs <= 1:
         yield from map(fn, tasks)
         return
     from multiprocessing import Pool  # only here: keeps it out of every start-up
 
+    workers = min(jobs, usable_cpus())
     # Pool.imap drains `tasks` from a thread of its own; the gate holds that
     # thread back, and `stop` lets it go when the caller stops early, since
     # the pool's exit waits for it.
-    gate = threading.Semaphore(POOL_READ_AHEAD * jobs - 1)
+    gate = threading.Semaphore(POOL_READ_AHEAD * workers - 1)
     stop = threading.Event()
 
     def admitted():
@@ -303,7 +313,7 @@ def pool_map(fn, tasks, jobs: int):
             if stop.is_set():
                 return
 
-    with Pool(processes=jobs) as pool:
+    with Pool(processes=workers) as pool:
         try:
             for result in pool.imap(fn, admitted()):
                 gate.release()
@@ -313,47 +323,22 @@ def pool_map(fn, tasks, jobs: int):
             gate.release()
 
 
-def _graph_shards():
-    """shard(graph, bounds) naming the isomorphism class of the bare graph.
-
-    The canonical code with all bounds 0 is computed once per distinct graph.
-    The generators list a graph's instances one after another, so the graph
-    is hashed (its whole edge tuple) only when it is not the last one seen.
-    """
-    names: dict[Graph, bytes] = {}
-    last_graph, last_name = None, b""
-
-    def shard(graph: Graph, _bounds) -> bytes:
-        nonlocal last_graph, last_name
-        if graph is not last_graph:
-            name = names.get(graph)
-            if name is None:
-                name = names[graph] = canonical_code(graph, (0,) * graph.num_vertices)
-            last_graph, last_name = graph, name
-        return last_name
-
-    return shard
-
-
 def _forest_task(face_cap: int, shards) -> list:
-    """(classes, per-member results) of each shard of (graph, bounds) members.
+    """(classes, per-instance results) of each shard of (graph, bounds) instances.
 
-    Each graph's plan is built once and names each member's class by the
+    Each graph's plan is built once and names each instance's class by the
     canonical code of its clamped bounds.  The oracle runs once per class,
-    on its first member, and the plan's recursion once per member, so a
-    member's result is (its class's oracle, its counts, no faults).
+    on its first instance, and the plan's recursion once per instance, so
+    an instance's result is (its class's oracle, its counts, no faults).
     """
-    plans: dict = {}
     plan = None
     done = []
-    for members in shards:
+    for shard in shards:
         classes: dict = {}
         out = []
-        for graph, bounds in members:
-            if plan is None or plan.graph is not graph:  # a graph's members come in a row
-                plan = plans.get(graph)
-                if plan is None:
-                    plan = plans[graph] = forest_plan(graph)
+        for graph, bounds in shard:
+            if plan is None or plan.graph is not graph:  # a graph's instances come in a row
+                plan = forest_plan(graph)
             name = plan.code(bounds, clamp=True)
             oracle = classes.get(name)
             if oracle is None:
@@ -363,52 +348,42 @@ def _forest_task(face_cap: int, shards) -> list:
     return done
 
 
-# pool tasks per worker: consecutive shards are packed into tasks of about
-# equal size, so that no worker is left with a long tail
-TASKS_PER_JOB = 16
+# instances per pool task, at least: 64 gives the benchmark's smallest sweep
+# (252 matching instances) 4 tasks, 2 per worker, and criterion 5's 16,368
+# cycle instances 256; forest and caterpillar shards are mostly larger.
+TASK_SIZE = 64
 
 
-def _sweep(report: VerifyReport, instances, run, jobs: int, shard) -> VerifyReport:
-    """Run `run` on every shard of `instances`, then `_check` every instance.
+def _sweep(report: VerifyReport, shards, run, jobs: int) -> VerifyReport:
+    """Run `run` on the tasks packed from `shards`, and `_check` each instance as its task returns.
 
-    `instances` yields (graph, bounds, extra) triples and `shard(graph,
-    bounds)` names an instance's shard.  A shard holds whole classes: every
-    instance isomorphic to one of its members is in it.  `run(shards)`
-    gives (classes, per-member results) for each shard of (graph, bounds)
-    members.  The parent then checks every instance, representatives and
-    duplicates alike, in the order `instances` gave.
+    A shard is a list of (graph, bounds, extra) instances holding whole
+    classes; `run(task)` gives (classes, per-instance results) for each
+    shard of the task, whose shards hold (graph, bounds) only.  `sent` holds
+    the tasks that the pool has read until they are checked.
     """
-    instances = list(instances)
-    shard_of: dict = {}
-    shards: list[list] = []
-    where = []  # the shard of each instance
-    for graph, bounds, _ in instances:
-        s = shard_of.setdefault(shard(graph, bounds), len(shard_of))
-        if s == len(shards):
-            shards.append([])
-        shards[s].append((graph, bounds))
-        where.append(s)
-    size = max(1, len(instances) // (jobs * TASKS_PER_JOB))
-    tasks: list[list] = []
-    filled = size
-    for members in shards:
-        if filled >= size:
-            tasks.append([])
-            filled = 0
-        tasks[-1].append(members)
-        filled += len(members)
-    done = (result for results in pool_map(run, tasks, jobs) for result in results)
-    # Shards are numbered in order of first appearance and come back in that
-    # order, so each instance's shard is taken from the pool when first
-    # needed, and a result is let go once its instance is checked.
-    pending: list[deque] = []
-    for (graph, bounds, extra), s in zip(instances, where):
-        while len(pending) <= s:
-            classes, out = next(done)
+    sent: deque = deque()
+
+    def send(task):
+        sent.append(task)
+        return [[(graph, bounds) for graph, bounds, _ in shard] for shard in task]
+
+    def tasks():
+        task, size = [], 0
+        for shard in shards:
+            task.append(shard)
+            size += len(shard)
+            if size >= TASK_SIZE:
+                yield send(task)
+                task, size = [], 0
+        if task:
+            yield send(task)
+
+    for results in pool_map(run, tasks(), jobs):
+        for shard, (classes, out) in zip(sent.popleft(), results):
             report.classes += classes
-            pending.append(deque(out))
-        _check(report, graph, bounds, extra, pending[s].popleft())
-    next(done, None)  # every shard is taken: this ends the pool
+            for (graph, bounds, extra), result in zip(shard, out):
+                _check(report, graph, bounds, extra, result)
     return report.finish()
 
 
@@ -501,19 +476,39 @@ def sweep_forests(
     for _ in range(raw_samples if nonempty else 0):
         forest = rng.choice(nonempty)
         check_raw(forest, tuple(rng.randint(0, max_bound) for _ in range(forest.num_vertices)))
-    instances = (
-        (forest, bounds, None)
+    shards = (
+        [(forest, bounds, None) for bounds in clamped_bound_grid(forest, max_bound)]
         for forest in forests
-        for bounds in clamped_bound_grid(forest, max_bound)
     )
-    return _sweep(report, instances, partial(_forest_task, face_cap), jobs, _graph_shards())
+    return _sweep(report, shards, partial(_forest_task, face_cap), jobs)
+
+
+def _isomorphism_classes(pairs):
+    """(graph, x) pairs grouped by the class of the bare graph, in order of first appearance.
+
+    Equal graphs come in a row, on the first one's object, with one canonical code.
+    """
+    graphs: dict[Graph, list] = {}
+    for graph, x in pairs:
+        graphs.setdefault(graph, []).append(x)
+    classes: dict[bytes, list] = {}
+    for graph, xs in graphs.items():
+        code = canonical_code(graph, (0,) * graph.num_vertices)
+        classes.setdefault(code, []).extend((graph, x) for x in xs)
+    return classes.values()
 
 
 def _caterpillars(max_spine: int, leaf_counts: range):
-    """(leaf counts m, bare caterpillar) for every spine of 1..max_spine vertices."""
-    for n in range(1, max_spine + 1):
-        for m in itertools.product(leaf_counts, repeat=n):
-            yield m, gen_caterpillar(CaterpillarSpec(m, (0,) * n))[0]
+    """(bare caterpillar, leaf counts m) of every spine of 1..max_spine vertices, by class.
+
+    Classes span spine lengths where a leaf count may be 0: m=(1) and (0, 0)
+    are one path.
+    """
+    return _isomorphism_classes(
+        (gen_caterpillar(CaterpillarSpec(m, (0,) * n))[0], m)
+        for n in range(1, max_spine + 1)
+        for m in itertools.product(leaf_counts, repeat=n)
+    )
 
 
 def sweep_caterpillars(
@@ -532,16 +527,19 @@ def sweep_caterpillars(
          "min_leaves": min_leaves},
     )
 
-    def instances():
-        for m, graph in _caterpillars(max_spine, range(min_leaves, max_leaves + 1)):
-            leaves = (1,) * sum(m)
-            for lam in itertools.product(range(max_bound + 1), repeat=len(m)):
-                extra = None
-                if min(m) >= 1:
-                    extra = {"closed_form": caterpillar_closed_form(CaterpillarSpec(m, lam))}
-                yield graph, lam + leaves, extra
+    def instances(graph: Graph, m: tuple[int, ...]):
+        leaves = (1,) * sum(m)
+        for lam in itertools.product(range(max_bound + 1), repeat=len(m)):
+            extra = None
+            if min(m) >= 1:
+                extra = {"closed_form": caterpillar_closed_form(CaterpillarSpec(m, lam))}
+            yield graph, lam + leaves, extra
 
-    return _sweep(report, instances(), partial(_forest_task, face_cap), jobs, _graph_shards())
+    shards = (
+        [instance for graph, m in caterpillars for instance in instances(graph, m)]
+        for caterpillars in _caterpillars(max_spine, range(min_leaves, max_leaves + 1))
+    )
+    return _sweep(report, shards, partial(_forest_task, face_cap), jobs)
 
 
 def sweep_matching_caterpillars(
@@ -561,12 +559,11 @@ def sweep_matching_caterpillars(
         "matching",
         {"max_spine": max_spine, "max_leaves": max_leaves, "k_values": list(k_values)},
     )
-    instances = (
-        (graph, (k,) * graph.num_vertices, None)
-        for _, graph in _caterpillars(max_spine, range(max_leaves + 1))
-        for k in k_values
+    shards = (
+        [(graph, (k,) * graph.num_vertices, None) for graph, _ in caterpillars for k in k_values]
+        for caterpillars in _caterpillars(max_spine, range(max_leaves + 1))
     )
-    return _sweep(report, instances, partial(_forest_task, face_cap), jobs, _graph_shards())
+    return _sweep(report, shards, partial(_forest_task, face_cap), jobs)
 
 
 def _cycle_worker(graph: Graph, bounds: DegreeBounds, face_cap: int):
@@ -594,7 +591,7 @@ def _cycle_worker(graph: Graph, bounds: DegreeBounds, face_cap: int):
 
 def _cycle_task(face_cap: int, shards) -> list:
     """(1, results) per shard: one cycle instance, repeated if listed twice."""
-    return [(1, [_cycle_worker(*members[0], face_cap)] * len(members)) for members in shards]
+    return [(1, [_cycle_worker(*shard[0], face_cap)] * len(shard)) for shard in shards]
 
 
 def sweep_cycles(
@@ -618,16 +615,14 @@ def sweep_cycles(
         "cycles",
         {"ns": list(ns), "max_bound": max_bound, "last_bounds": list(last_bounds)},
     )
-    instances = (
-        (graph, rest + (last,), None)
+    lasts = Counter(last_bounds).items()  # a last bound listed twice is one class
+    shards = (
+        [(graph, rest + (last,), None)] * times
         for graph in map(gen_cycle, ns)
         for rest in itertools.product(range(max_bound + 1), repeat=graph.num_vertices - 1)
-        for last in last_bounds
+        for last, times in lasts
     )
-    return _sweep(
-        report, instances, partial(_cycle_task, face_cap), jobs,
-        lambda graph, bounds: (graph.num_vertices, bounds),
-    )
+    return _sweep(report, shards, partial(_cycle_task, face_cap), jobs)
 
 
 def sweep_random_forests(
@@ -651,5 +646,9 @@ def sweep_random_forests(
         if forest.num_edges > max_edges:
             continue
         bounds = tuple(rng.randint(0, max_bound) for _ in range(forest.num_vertices))
-        picked.append((forest, bounds, None))
-    return _sweep(report, picked, partial(_forest_task, face_cap), jobs, _graph_shards())
+        picked.append((forest, bounds))
+    shards = (
+        [(graph, bounds, None) for graph, bounds in forests]
+        for forests in _isomorphism_classes(picked)
+    )
+    return _sweep(report, shards, partial(_forest_task, face_cap), jobs)

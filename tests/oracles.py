@@ -14,7 +14,8 @@ signed count of faces.
 The complex tooling (a validating face-list builder, link, deletion and the
 grape decomposition witness, among others) works on the package's
 `SimplicialComplex` record but is needed by no route of the package, and
-`graph_with_cycles` draws the graphs of the hypothesis tests on the oracle.
+`graph_with_cycles` draws the graphs of the hypothesis tests on the oracle
+(`graph_keeping_a_cycle` those whose cycle survives the free-vertex split).
 
 The package holds every face as an edge bitmask (bit i set when element i
 is in it).  This module works on increasing index tuples, and `face_mask`
@@ -295,6 +296,30 @@ def graph_with_cycles(data) -> tuple[Graph, DegreeBounds]:
     chords = data.draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2))), max_size=6))
     bounds = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
     return make_graph(n, sorted(ring | chords)), bounds
+
+
+def graph_keeping_a_cycle(data) -> tuple[Graph, DegreeBounds]:
+    """Hypothesis draw like `graph_with_cycles`, whose cycle `cycle_reduce` keeps whole.
+
+    Vertices off the cycle draw bounds 0..3.  A cycle vertex draws a bound
+    in 1..(live degree - 1), where its live edges are those whose other end
+    has a bound >= 1: it neither cuts nor splits the cycle.
+    """
+    n = data.draw(st.integers(3, 7))
+    cycle = data.draw(st.integers(3, n))
+    ring = {tuple(sorted((i, (i + 1) % cycle))) for i in range(cycle)}
+    chords = data.draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2))), max_size=6))
+    graph = make_graph(n, sorted(ring | chords))
+    off = n - cycle
+    bounds = [1] * cycle + data.draw(st.lists(st.integers(0, 3), min_size=off, max_size=off))
+    live = [0] * n
+    for u, v in graph.edges:
+        if bounds[u] and bounds[v]:
+            live[u] += 1
+            live[v] += 1
+    for v in range(cycle):
+        bounds[v] = data.draw(st.integers(1, live[v] - 1))
+    return graph, tuple(bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -25,15 +25,17 @@ from bdcomplex.graph import (
     is_forest,
     make_graph,
 )
-from bdcomplex.harness import parse_instance
+from bdcomplex.harness import compute_instance, instance_json, parse_instance
 from bdcomplex.homology import graph_homology, reduced_homology, wedge_profile
 from bdcomplex.recursion import plan_counts, sphere_counts
 
 from oracles import (
     SpineSubset,
     face_tuple,
+    graph_keeping_a_cycle,
     graph_with_cycles,
     reference_caterpillar_counts,
+    reference_reduced_homology,
     spine_subsets,
     tuple_faces,
 )
@@ -234,3 +236,17 @@ class TestCycleReduce:
         if is_forest(split):
             expected = wedge_profile(graph_homology(graph, bounds)[0])
             assert plan_counts(forest_plan(split), split_bounds) == expected
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_auto_answers_a_kept_cycle_by_homology(self, data):
+        graph, bounds = graph_keeping_a_cycle(data)
+        res = compute_instance(parse_instance(instance_json(graph, bounds)))
+        original = build_complex(graph, bounds)
+        assert res.method_used == "homology"
+        assert res.homology == reference_reduced_homology(original)
+        reduced = cycle_reduce(graph, bounds)
+        if reduced is not None:
+            split, split_bounds, kept = reduced
+            assert not is_forest(split)
+            assert mapped_back(build_complex(split, split_bounds), kept) == tuple_faces(original)

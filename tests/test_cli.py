@@ -30,8 +30,12 @@ def write_instance(tmp_path, obj, name="instance.json"):
 TWO_SPINE = {"caterpillar": {"m": [2, 1], "lambda": [2, 1]}}
 
 
-def run_script(body: str, stdin: str = "", limit_mb: int = 256):
-    """Python code `body` in a fresh process whose address space is capped at `limit_mb`."""
+def run_script(body: str, stdin: str = "", limit_mb: int = 256, timeout: float = 120):
+    """Python code `body` in a fresh process whose address space is capped at `limit_mb`.
+
+    A process still running after `timeout` seconds is killed, and
+    `subprocess.TimeoutExpired` is raised with what it wrote so far.
+    """
     script = textwrap.dedent(
         f"""
         import resource, sys
@@ -46,13 +50,14 @@ def run_script(body: str, stdin: str = "", limit_mb: int = 256):
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=timeout,
     )
 
 
-def run_limited(argv, stdin: str = "", limit_mb: int = 256):
+def run_limited(argv, stdin: str = "", limit_mb: int = 256, timeout: float = 120):
     """`main(argv)` in a fresh process capped at `limit_mb` of address space."""
-    return run_script(f"from bdcomplex.cli import main\nsys.exit(main({argv!r}))\n", stdin, limit_mb)
+    body = f"from bdcomplex.cli import main\nsys.exit(main({argv!r}))\n"
+    return run_script(body, stdin, limit_mb, timeout)
 
 
 # graph-form instances whose n or endpoints are not integers, or are booleans
@@ -572,6 +577,33 @@ class TestVerifyCommand:
              "--max-bound", "2", "--output", "table"],
         )
         assert code == 0 and "ok: True" in out
+
+    def test_sweep_too_large_to_list_runs_in_bounded_memory(self):
+        # 67M cycle instances do not fit in 600 MB as a list, so a sweep
+        # that lists them first checks none; streamed, the checks begin at
+        # once, and the sweep keeps running until it is killed
+        argv = ["verify", "cycles", "--max-n", "13", "--max-bound", "3"]
+        body = textwrap.dedent(
+            f"""
+            from bdcomplex import harness
+            from bdcomplex.cli import main
+            check, checked = harness._check, 0
+
+            def counted(*args):
+                global checked
+                check(*args)
+                checked += 1
+                if checked == 1000:
+                    print("checked", checked, flush=True)
+
+            harness._check = counted
+            sys.exit(main({argv!r}))
+            """
+        )
+        with pytest.raises(subprocess.TimeoutExpired) as killed:
+            run_script(body, limit_mb=600, timeout=5)
+        assert b"checked 1000" in (killed.value.stdout or b"")
+        assert b"MemoryError" not in (killed.value.stderr or b"")
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("family", ["forests", "caterpillars", "cycles", "matching", "random"])

@@ -3,8 +3,10 @@ the package names that the benchmark's tracer binds."""
 
 import importlib.util
 import itertools
+import multiprocessing
 import threading
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from bdcomplex.harness import (
     sweep_forests,
     sweep_matching_caterpillars,
     sweep_random_forests,
+    usable_cpus,
 )
 from bdcomplex.homology import HomologyProfile
 
@@ -49,7 +52,7 @@ class TestPoolMap:
                 read.append(x)
                 yield x
 
-        ahead = POOL_READ_AHEAD * 2
+        ahead = POOL_READ_AHEAD * min(2, usable_cpus())
         taken = []
 
         def take_three_and_stop():
@@ -66,6 +69,74 @@ class TestPoolMap:
         worker.join(timeout=60)
         assert not worker.is_alive()
         assert taken == [0, 1, 4] and len(read) == 3 + ahead
+
+    def test_workers_are_capped_at_the_usable_cpus(self, monkeypatch):
+        started, read_ahead = [], []
+
+        class RecordingPool:
+            """Starts no worker: records its size and how far `imap` may read."""
+
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                pass
+
+            def imap(self, fn, tasks):
+                read = []
+                reader = threading.Thread(target=read.extend, args=(tasks,), daemon=True)
+                reader.start()
+                reader.join(timeout=0.5)  # it now waits at the gate for a permit
+                read_ahead.append(len(read))
+                return iter(())
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        assert list(pool_map(_square, range(10_000), 5000)) == []
+        assert started == [usable_cpus()]
+        assert read_ahead == [POOL_READ_AHEAD * usable_cpus()]
+
+
+class TestSweepStreaming:
+    """`_sweep` takes shards as it checks them and holds no instance list."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_checks_keep_up_with_the_tasks_taken(self, monkeypatch, jobs):
+        # every shard fills one task: TASK_SIZE copies of one cycle instance
+        instance = (gen_cycle(3), (2, 1, 1), None)
+        taken = checked = 0
+        ahead = []
+
+        def shards():
+            nonlocal taken
+            for _ in range(30):
+                taken += 1
+                yield [instance] * harness.TASK_SIZE
+
+        real = harness._check
+
+        def check(report, graph, bounds, extra, result):
+            nonlocal checked
+            checked += 1
+            begun = (checked - 1) // harness.TASK_SIZE + 1  # tasks whose checks have begun
+            ahead.append(taken - begun)
+            real(report, graph, bounds, extra, result)
+
+        monkeypatch.setattr(harness, "_check", check)
+        report = harness.VerifyReport("cycles", {})
+        run = partial(harness._cycle_task, DEFAULT_FACE_CAP)
+        harness._sweep(report, shards(), run, jobs)
+        assert report.instances == checked == 30 * harness.TASK_SIZE and report.ok
+        assert report.classes == 30
+        assert 0 <= min(ahead) and max(ahead) <= POOL_READ_AHEAD * jobs
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_last_bound_listed_twice_is_one_class(self, jobs):
+        report = sweep_cycles([3], 1, (0, 0), jobs=jobs)
+        assert report.instances == 8 and report.classes == report.instances // 2
+        assert report.ok
 
 
 class TestSweepFailures:
@@ -147,13 +218,13 @@ class TestSweepFailures:
         assert pooled.mismatches == serial.mismatches
 
     def test_mismatches_of_one_shard_keep_instance_order(self, monkeypatch):
-        # m = (1,2) and (2,1) are one shard, as are (1,3) and (3,1); in
-        # instance order (1,3) and (2,2) fall between (1,2) and (2,1)
+        # a caterpillar's isomorphic copies are listed together, each class
+        # where its first copy appears: m = (1,2) with (2,1), then (1,3)
+        # with (3,1), then (2,2)
         self._corrupt(monkeypatch, lambda graph, bounds: graph.num_vertices in (5, 6))
         expected = [
             harness.instance_json(*gen_caterpillar(CaterpillarSpec(m, lam)))
-            for m in itertools.product(range(1, 4), repeat=2)
-            if sum(m) in (3, 4)
+            for m in ((1, 2), (2, 1), (1, 3), (3, 1), (2, 2))
             for lam in itertools.product(range(2), repeat=2)
         ]
         reports = [sweep_caterpillars(2, 3, 1, jobs=jobs) for jobs in (1, 2)]

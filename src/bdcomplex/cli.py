@@ -19,7 +19,7 @@ from typing import Optional
 from .complexes import DEFAULT_FACE_CAP
 from .errors import BoundedDegreeError, InvalidParamsError, InvalidSizeError, ParseError
 from .graph import CaterpillarSpec, gen_path
-from .harness import (
+from .dispatch import (
     METHODS,
     ComputeResult,
     Instance,
@@ -27,11 +27,6 @@ from .harness import (
     instance_json,
     parse_instance,
     pool_map,
-    sweep_caterpillars,
-    sweep_cycles,
-    sweep_forests,
-    sweep_matching_caterpillars,
-    sweep_random_forests,
 )
 from .homology import HomologyProfile
 from .recursion import SphereCounts
@@ -80,12 +75,13 @@ def _result_table(obj: dict) -> str:
     return f"{obj['method']:<14} {shape}"
 
 
-def _emit(obj: dict, output: str, stream=None):
-    stream = stream or sys.stdout
+def _emit(obj: dict, output: str):
+    """Write one result line, newline included, with a single write."""
     if output == "table":
-        print(_result_table(obj) if "method" in obj else json.dumps(obj), file=stream)
+        line = _result_table(obj) if "method" in obj else json.dumps(obj)
     else:
-        print(json.dumps(obj, separators=(",", ":")), file=stream)
+        line = json.dumps(obj, separators=(",", ":"))
+    sys.stdout.write(line + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +203,15 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # only here: keeps the sweeps out of the start-up of every other command
+    from .harness import (
+        sweep_caterpillars,
+        sweep_cycles,
+        sweep_forests,
+        sweep_matching_caterpillars,
+        sweep_random_forests,
+    )
+
     pool = {"jobs": args.jobs, "face_cap": args.face_cap}
     if args.family == "forests":
         report = sweep_forests(

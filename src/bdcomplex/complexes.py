@@ -24,8 +24,7 @@ where the dimensions d and d-1 both hold critical cells of the tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import FaceCapExceededError
 from .graph import DegreeBounds, Graph, validate_bounds
@@ -35,8 +34,7 @@ Face = int  # an edge bitmask: bit i is set when edge i is in the face
 DEFAULT_FACE_CAP = 5_000_000
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(NamedTuple):
     """Layered faces of a simplicial complex on the ground set 0..ground_set-1.
 
     `faces_by_dim[d]` lists the d-dimensional faces as bitmasks, in the

@@ -8,7 +8,6 @@ vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -25,26 +24,45 @@ DegreeBounds = tuple[int, ...]
 CanonicalKey = bytes
 
 
-@dataclass(frozen=True)
 class Graph:
-    """A simple undirected graph with positional vertex and edge identity."""
+    """A simple undirected graph with positional vertex and edge identity.
 
-    num_vertices: int
-    edges: tuple[Edge, ...]
+    Immutable; equal and hashed by value, so it can key a dict.
+    """
 
-    def __post_init__(self):
-        if self.num_vertices < 0:
+    __slots__ = ("num_vertices", "edges")
+
+    def __init__(self, num_vertices: int, edges: tuple[Edge, ...]):
+        if num_vertices < 0:
             raise InvalidSizeError("num_vertices must be non-negative")
         normalized = []
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise LoopEdgeError(f"loop edge at vertex {u}")
-            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
+            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise IndexOutOfRangeError(f"edge ({u},{v}) out of range")
             normalized.append((u, v) if u < v else (v, u))
         if len(set(normalized)) != len(normalized):
             raise DuplicateEdgeError("duplicate edge in edge list")
+        object.__setattr__(self, "num_vertices", num_vertices)
         object.__setattr__(self, "edges", tuple(normalized))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Graph:
+            return NotImplemented
+        return self.num_vertices == other.num_vertices and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.num_vertices, self.edges))
+
+    def __repr__(self):
+        return f"Graph(num_vertices={self.num_vertices!r}, edges={self.edges!r})"
+
+    def __reduce__(self):
+        return Graph, (self.num_vertices, self.edges)
 
     @property
     def num_edges(self) -> int:
@@ -72,35 +90,51 @@ def make_graph(num_vertices: int, edges: Iterable[Sequence[int]]) -> Graph:
 
 def validate_bounds(graph: Graph, bounds: Sequence[int]) -> DegreeBounds:
     """Check a per-vertex bound vector against `graph` and normalize to a tuple."""
-    bounds = tuple(int(b) for b in bounds)
+    bounds = tuple(map(int, bounds))
     if len(bounds) != graph.num_vertices:
         raise ValueError(
             f"expected {graph.num_vertices} bounds, got {len(bounds)}"
         )
-    if any(b < 0 for b in bounds):
+    if min(bounds, default=0) < 0:
         raise ValueError("degree bounds must be non-negative")
     return bounds
 
 
-@dataclass(frozen=True)
 class CaterpillarSpec:
     """Spine length, per-spine leaf counts, and per-spine degree bounds.
 
     Leaves always get bound 1; only the spine bounds are free parameters.
+    Immutable; equal and hashed by value.
     """
 
-    m: tuple[int, ...]
-    lambda_spine: tuple[int, ...]
+    __slots__ = ("m", "lambda_spine")
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", tuple(int(x) for x in self.m))
-        object.__setattr__(
-            self, "lambda_spine", tuple(int(x) for x in self.lambda_spine)
-        )
-        if len(self.m) != len(self.lambda_spine) or not self.m:
+    def __init__(self, m: Sequence[int], lambda_spine: Sequence[int]):
+        m = tuple(int(x) for x in m)
+        lambda_spine = tuple(int(x) for x in lambda_spine)
+        if len(m) != len(lambda_spine) or not m:
             raise InvalidSizeError("m and lambda_spine must have equal length >= 1")
-        if any(x < 0 for x in self.m) or any(x < 0 for x in self.lambda_spine):
+        if any(x < 0 for x in m) or any(x < 0 for x in lambda_spine):
             raise ValueError("leaf counts and bounds must be non-negative")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "lambda_spine", lambda_spine)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not CaterpillarSpec:
+            return NotImplemented
+        return self.m == other.m and self.lambda_spine == other.lambda_spine
+
+    def __hash__(self):
+        return hash((self.m, self.lambda_spine))
+
+    def __repr__(self):
+        return f"CaterpillarSpec(m={self.m!r}, lambda_spine={self.lambda_spine!r})"
+
+    def __reduce__(self):
+        return CaterpillarSpec, (self.m, self.lambda_spine)
 
     @property
     def n(self) -> int:
@@ -217,24 +251,39 @@ def components(graph: Graph, bounds: Sequence[int]) -> list[GraphComponent]:
     return out
 
 
-@dataclass(frozen=True)
 class ForestPlan:
     """The walks of a forest that do not depend on its bounds, built once.
 
     `steps` is the post-order that `sphere_counts` folds: every vertex with
     its parent, children before parents, and a root with parent -1 closing
     its tree.  `trees` holds, per tree, the leaf-peeling sequence of
-    (vertex, parent) pairs and the one or two centers that `canonical_code`
-    builds its codes along; it is made on first use.  One plan serves every
-    bound vector of the forest.
+    (vertex, parent) pairs that `canonical_code` builds its codes along,
+    ending with the one or two centers, whose parent is -1; it is made on
+    first use.  One plan serves every bound vector of the forest.
+    Immutable; equal and hashed by value.
     """
 
-    graph: Graph
-    degrees: tuple[int, ...]
-    steps: tuple[Edge, ...]
+    def __init__(self, graph: Graph, degrees: tuple[int, ...], steps: tuple[Edge, ...]):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "steps", steps)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not ForestPlan:
+            return NotImplemented
+        return (self.graph, self.degrees, self.steps) == (other.graph, other.degrees, other.steps)
+
+    def __hash__(self):
+        return hash((self.graph, self.degrees, self.steps))
+
+    def __repr__(self):
+        return f"ForestPlan(graph={self.graph!r}, degrees={self.degrees!r}, steps={self.steps!r})"
 
     @cached_property
-    def trees(self) -> tuple[tuple[tuple[Edge, ...], tuple[int, ...]], ...]:
+    def trees(self) -> tuple[tuple[Edge, ...], ...]:
         adj = self.graph.adjacency()
         out = []
         tree: list[int] = []
@@ -251,34 +300,37 @@ class ForestPlan:
         `bounds` must already be valid for the forest; with `clamp`, each is
         capped at its vertex degree as it is encoded (the complex is the same).
         """
-        kids: list[list[bytes]] = [[] for _ in self.degrees]
-        caps = self.degrees if clamp else None
-
-        def vertex_code(v: int) -> bytes:
-            b = bounds[v] if caps is None or bounds[v] <= caps[v] else caps[v]
-            below = kids[v]
-            if not below:
-                return b"(%d:)" % b
-            below.sort()
-            return b"(%d:" % b + b"".join(below) + b")"
-
+        degrees = self.degrees
+        kids: list[list[bytes]] = [[] for _ in range(len(degrees) + 1)]
+        centers = kids[-1]  # parent -1: the codes of a tree's centers
         trees = []
-        for peel, centers in self.trees:
+        for peel in self.trees:
             for v, p in peel:
-                kids[p].append(vertex_code(v))
+                b = bounds[v]
+                if clamp and b > degrees[v]:
+                    b = degrees[v]
+                below = kids[v]
+                if below:
+                    below.sort()
+                    kids[p].append(b"(%d:" % b + b"".join(below) + b")")
+                else:
+                    kids[p].append(b"(%d:)" % b)
             if len(centers) == 1:
-                trees.append(vertex_code(centers[0]))
+                trees.append(centers[0])
             else:
-                trees.append(b"=" + b"".join(sorted(map(vertex_code, centers))))
+                centers.sort()
+                trees.append(b"=" + b"".join(centers))
+            centers.clear()
         trees.sort()
         return b"|".join(trees)
 
 
-def _peel(vertices: list[int], adj: list[list[int]]) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
-    """Leaf-peeling sequence and center(s) of one tree.
+def _peel(vertices: list[int], adj: list[list[int]]) -> tuple[Edge, ...]:
+    """Leaf-peeling sequence of one tree, ending with its center(s).
 
     Leaves are peeled layer by layer; the last layer holds the one or two
-    centers.  A peeled vertex's one unpeeled neighbor is its parent.
+    centers, which get parent -1.  A peeled vertex's one unpeeled neighbor
+    is its parent.
     """
     deg = {v: len(adj[v]) for v in vertices}
     layer = [v for v in vertices if deg[v] <= 1]
@@ -296,7 +348,8 @@ def _peel(vertices: list[int], adj: list[list[int]]) -> tuple[tuple[Edge, ...], 
                     if deg[w] == 1:
                         nxt.append(w)
         layer = nxt
-    return tuple(peel), tuple(layer)
+    peel.extend((c, -1) for c in layer)
+    return tuple(peel)
 
 
 def forest_plan(graph: Graph, not_forest: str = "expected a forest") -> ForestPlan:

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, combinations
 from operator import or_
@@ -258,17 +257,37 @@ def smith_normal_form(
     return units + rank, (1,) * units + _divisibility_fix(diagonal)
 
 
-@dataclass(frozen=True)
 class HomologyProfile:
     """Reduced Betti numbers and torsion, keyed by dimension.
 
     Only nonzero Betti numbers and nonempty torsion lists are stored.
     Dimension -1 is the class of the empty face: betti[-1] = 1 exactly when
-    the complex has no vertices at all.
+    the complex has no vertices at all.  Immutable and equal by value.
     """
 
-    betti: dict[int, int] = field(default_factory=dict)
-    torsion: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    __slots__ = ("betti", "torsion")
+
+    def __init__(
+        self,
+        betti: Optional[dict[int, int]] = None,
+        torsion: Optional[dict[int, tuple[int, ...]]] = None,
+    ):
+        object.__setattr__(self, "betti", {} if betti is None else betti)
+        object.__setattr__(self, "torsion", {} if torsion is None else torsion)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not HomologyProfile:
+            return NotImplemented
+        return self.betti == other.betti and self.torsion == other.torsion
+
+    def __repr__(self):
+        return f"HomologyProfile(betti={self.betti!r}, torsion={self.torsion!r})"
+
+    def __reduce__(self):
+        return HomologyProfile, (self.betti, self.torsion)
 
     @property
     def is_torsion_free(self) -> bool:

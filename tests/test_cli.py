@@ -356,10 +356,28 @@ class TestCompute:
             "error": {"type": "ParseError", "message": "expected 4000000 bounds, got 1"}
         }
 
-    def test_importing_the_cli_leaves_multiprocessing_out(self):
+    def test_importing_the_cli_leaves_multiprocessing_out(self, tmp_path):
         proc = run_script("import bdcomplex.cli\nprint('multiprocessing' in sys.modules)\n")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+        # a batch loads neither the sweeps nor dataclasses (and its inspect)
+        path3 = {"n": 3, "edges": [[0, 1], [1, 2]], "lambda": [1, 1, 1]}
+        lines = [TWO_SPINE, {"cycle": {"n": 5, "lambda": [2, 1, 1, 1, 1]}}, path3]
+        path = tmp_path / "three.jsonl"
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        unloaded = ("dataclasses", "inspect", "bdcomplex.harness", "multiprocessing")
+        body = textwrap.dedent(
+            f"""
+            from bdcomplex.cli import main
+            code = main(["batch", {str(path)!r}])
+            print(code, [name for name in {unloaded!r} if name in sys.modules])
+            """
+        )
+        proc = run_script(body)
+        assert proc.returncode == 0, proc.stderr
+        *results, last = proc.stdout.splitlines()
+        assert [json.loads(r)["instance"] for r in results] == lines
+        assert last == "0 []"
 
     def test_any_failure_is_an_error_object(self, capsys, tmp_path, monkeypatch):
         def deep(instance, *args):

@@ -1,9 +1,11 @@
-"""The sweep pipeline: pool_map, sweeps that must report what goes wrong, and
-the package names that the benchmark's tracer binds."""
+"""The sweep pipeline: pool_map, sweeps that must report what goes wrong, the
+package names that the benchmark's tracer binds, and the records' value
+semantics."""
 
 import importlib.util
 import itertools
 import multiprocessing
+import pickle
 import threading
 import time
 from functools import partial
@@ -11,12 +13,15 @@ from pathlib import Path
 
 import pytest
 
-from bdcomplex import cli, harness
-from bdcomplex.complexes import DEFAULT_FACE_CAP
+from bdcomplex import cli, dispatch, harness
+from bdcomplex.complexes import DEFAULT_FACE_CAP, SimplicialComplex
 from bdcomplex.errors import MethodMismatchError
-from bdcomplex.graph import CaterpillarSpec, gen_caterpillar, gen_cycle
+from bdcomplex.graph import CaterpillarSpec, forest_plan, gen_caterpillar, gen_cycle, gen_path
 from bdcomplex.harness import (
     POOL_READ_AHEAD,
+    ClassOracle,
+    ComputeResult,
+    VerifyReport,
     pool_map,
     sweep_caterpillars,
     sweep_cycles,
@@ -337,7 +342,7 @@ class TestComputeInstance:
     """The forest route builds one plan per instance and applies it."""
 
     def _count_plans(self, monkeypatch):
-        real = harness.forest_plan
+        real = dispatch.forest_plan
         plans = []
 
         def counting(graph, *args):
@@ -347,8 +352,9 @@ class TestComputeInstance:
         def refuse(*args, **kwargs):
             raise AssertionError("sphere_counts plans the forest again")
 
-        monkeypatch.setattr(harness, "forest_plan", counting)
-        monkeypatch.setattr(harness, "sphere_counts", refuse)
+        monkeypatch.setattr(dispatch, "forest_plan", counting)
+        # dispatch binds no sphere_counts today; the guard holds if it ever does
+        monkeypatch.setattr(dispatch, "sphere_counts", refuse, raising=False)
         return plans
 
     def test_forest_is_planned_once(self, monkeypatch):
@@ -370,3 +376,80 @@ class TestComputeInstance:
         # the cycle is tried as a forest twice; the forest it splits into is planned once
         split = harness.cycle_reduce(cycle.graph, cycle.bounds)[0]
         assert plans == [cycle.graph] * 2 + [split]
+
+
+class TestRecords:
+    """The records are values: equal and (where their fields allow) hashed by
+    value, printed by field, frozen, and sent through the pool by pickle."""
+
+    RECORDS = {
+        "graph": (
+            lambda: gen_path(3),
+            "Graph(num_vertices=3, edges=((0, 1), (1, 2)))",
+        ),
+        "caterpillar-spec": (
+            lambda: CaterpillarSpec([2, 1], (2, 1)),
+            "CaterpillarSpec(m=(2, 1), lambda_spine=(2, 1))",
+        ),
+        "forest-plan": (
+            lambda: forest_plan(gen_path(2)),
+            "ForestPlan(graph=Graph(num_vertices=2, edges=((0, 1),)), degrees=(1, 1),"
+            " steps=((1, 0), (0, -1)))",
+        ),
+        "complex": (
+            lambda: SimplicialComplex(2, ((1, 2),)),
+            "SimplicialComplex(ground_set=2, faces_by_dim=((1, 2),))",
+        ),
+        "homology": (
+            lambda: HomologyProfile({1: 1}),
+            "HomologyProfile(betti={1: 1}, torsion={})",
+        ),
+        "oracle": (
+            lambda: ClassOracle({1: 1}, {}, -1),
+            "ClassOracle(wedge={1: 1}, torsion={}, euler=-1)",
+        ),
+        "instance": (
+            lambda: harness.parse_instance({"cycle": {"n": 3, "lambda": [1, 1, 1]}}),
+            "Instance(source={'cycle': {'n': 3, 'lambda': [1, 1, 1]}}, cat_spec=None,"
+            " given=(Graph(num_vertices=3, edges=((0, 1), (1, 2), (0, 2))), (1, 1, 1)))",
+        ),
+        "result": (
+            lambda: ComputeResult("recursion", {0: 1}, False, None, True, {}),
+            "ComputeResult(method_used='recursion', spheres={0: 1}, contractible=False,"
+            " homology=None, wedge_consistent=True, timings_ms={})",
+        ),
+    }
+    HASHABLE = {"graph", "caterpillar-spec", "forest-plan", "complex"}
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_a_record_is_a_value(self, name):
+        make, text = self.RECORDS[name]
+        a, b = make(), make()
+        assert a == b and a is not b and not a != b
+        assert repr(a) == text
+        if name in self.HASHABLE:
+            assert hash(a) == hash(b) and {a: 1}[b] == 1
+        else:
+            with pytest.raises(TypeError):
+                hash(a)
+        field = text[text.index("(") + 1 : text.index("=")]  # the first field the repr names
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+        assert a == b
+        assert pickle.loads(pickle.dumps(a)) == a
+
+    def test_values_differ_by_field_and_class(self):
+        assert gen_path(3) != gen_path(4) and gen_path(3) != gen_cycle(3)
+        assert HomologyProfile({1: 1}) != HomologyProfile({1: 1}, {0: (2,)})
+        assert CaterpillarSpec((1,), (1,)) != gen_path(1)
+
+    def test_defaults_are_not_shared(self):
+        assert HomologyProfile() == HomologyProfile({}, {})
+        assert HomologyProfile().betti is not HomologyProfile().betti
+        one, two = VerifyReport("forests", {}), VerifyReport("forests", {})
+        assert one.errors is not two.errors
+        one.instances += 1
+        assert one != two
+        two.instances += 1
+        assert one == two  # apart from `started`
+        assert "started" not in repr(one)

@@ -1,23 +1,19 @@
 """Bounded degree complexes of graphs: construction, homotopy types, and an
 exact homology oracle."""
 
-from .caterpillar import (
-    caterpillar_closed_form,
-    cycle_reduce,
-    star_profile,
-)
+from .caterpillar import caterpillar_closed_form, cycle_reduce
 from .complexes import (
     DEFAULT_FACE_CAP,
     SimplicialComplex,
     build_complex,
     edge_face_counts,
     excised_cells,
-    reduced_euler,
 )
 from .graph import (
     CaterpillarSpec,
     Graph,
     GraphComponent,
+    Record,
     canonical_code,
     components,
     disjoint_union,
@@ -43,9 +39,7 @@ from .homology import (
     wedge_profile,
 )
 from .recursion import (
-    counts_add,
     counts_normalize,
-    counts_shift,
     join_convolve,
     simplify,
     sphere_counts,

@@ -1,4 +1,4 @@
-"""Closed-form homotopy types for stars and leafy caterpillars, and the
+"""The closed-form homotopy type of leafy caterpillars, and the
 free-vertex split that cuts a graph with cycles into a graph with the same
 faces, often a forest.
 
@@ -16,32 +16,13 @@ from __future__ import annotations
 from math import comb
 from typing import Optional, Sequence
 
-from .errors import HypothesisViolatedError, InvalidStarError
+from .errors import HypothesisViolatedError
 from .graph import CaterpillarSpec, DegreeBounds, Graph, validate_bounds
 from .recursion import SphereCounts
 
 
 def _binom(a: int, b: int) -> int:
     return comb(a, b) if 0 <= b <= a else 0
-
-
-def star_profile(k: int, r: int) -> SphereCounts:
-    """Homotopy type of the complex of a star with r leaves and center bound k.
-
-    The faces are the leaf-edge subsets of size at most k, i.e. the
-    (k-1)-skeleton of a simplex on r vertices: a wedge of C(r-1, k) spheres
-    of dimension k-1 when k < r, a point when k >= r, and the bare empty
-    face when k = 0.
-    """
-    if r < 1:
-        raise InvalidStarError("a star needs at least one leaf")
-    if k < 0:
-        raise ValueError("the center bound must be non-negative")
-    if k == 0:
-        return {-1: 1}
-    if k >= r:
-        return {}
-    return {k - 1: _binom(r - 1, k)}
 
 
 def caterpillar_closed_form(spec: CaterpillarSpec) -> SphereCounts:

@@ -259,11 +259,3 @@ def excised_cells(
     edges = list(graph.edges)
     edges[e] = (n, n)  # never taken: vertex n has no budget
     return _walk(edges, [*bounds, 0], face_cap, a, b)
-
-
-def reduced_euler(k: SimplicialComplex) -> int:
-    """Alternating face-count sum including the empty face: sum (-1)^d f_d - 1."""
-    total = -1
-    for d, layer in enumerate(k.faces_by_dim):
-        total += len(layer) if d % 2 == 0 else -len(layer)
-    return total

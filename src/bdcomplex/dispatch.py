@@ -24,6 +24,7 @@ from .graph import (
     CaterpillarSpec,
     DegreeBounds,
     Graph,
+    Record,
     forest_plan,
     gen_caterpillar,
     gen_cycle,
@@ -37,12 +38,16 @@ from .recursion import SphereCounts, plan_counts
 METHODS = ("auto", "recursion", "closed-form", "homology")
 
 
-class Instance:
+class Instance(Record):
     """A parsed problem instance: its source form, a graph and its bounds.
 
     A caterpillar shorthand holds only its spec until a route first reads
-    `graph` or `bounds`; the closed form never does.  Immutable; equal by value.
+    `graph` or `bounds`; the closed form never does.  A `Record`; its dict
+    source makes it unhashable, and the graph it builds is not pickled.
     """
+
+    _fields = ("source", "cat_spec", "given")
+    __hash__ = None
 
     def __init__(
         self,
@@ -50,21 +55,7 @@ class Instance:
         cat_spec: Optional[CaterpillarSpec] = None,
         given: Optional[tuple[Graph, DegreeBounds]] = None,
     ):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "cat_spec", cat_spec)
-        object.__setattr__(self, "given", given)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not Instance:
-            return NotImplemented
-        mine = (self.source, self.cat_spec, self.given)
-        return mine == (other.source, other.cat_spec, other.given)
-
-    def __repr__(self):
-        return f"Instance(source={self.source!r}, cat_spec={self.cat_spec!r}, given={self.given!r})"
+        super().__init__(source, cat_spec, given)
 
     @cached_property
     def _graph_bounds(self) -> tuple[Graph, DegreeBounds]:
@@ -218,19 +209,19 @@ def usable_cpus() -> int:
 
 
 def pool_map(fn, tasks, jobs: int):
-    """Yield `fn` over `tasks` in task order, from a process pool if jobs > 1.
+    """Yield `fn` over `tasks` in task order, from a pool of min(jobs, usable_cpus()) processes.
 
-    The pool has `jobs` workers, but no more than `usable_cpus()`.  `tasks`
-    is read lazily: at jobs > 1 at most POOL_READ_AHEAD tasks per worker are
-    taken from it beyond the results yielded so far.
+    Where that is at most 1, the tasks run in this process, with no pool.
+    `tasks` is read lazily: with a pool, at most POOL_READ_AHEAD tasks per
+    worker are taken from it beyond the results yielded so far.
     """
-    if jobs <= 1:
+    workers = min(jobs, usable_cpus())
+    if workers <= 1:
         yield from map(fn, tasks)
         return
     import threading  # only here, with the pool: keeps both out of every start-up
     from multiprocessing import Pool
 
-    workers = min(jobs, usable_cpus())
     # Pool.imap drains `tasks` from a thread of its own; the gate holds that
     # thread back, and `stop` lets it go when the caller stops early, since
     # the pool's exit waits for it.

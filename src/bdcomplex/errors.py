@@ -29,10 +29,6 @@ class FaceCapExceededError(BoundedDegreeError, RuntimeError):
     """Face enumeration would exceed the configured face cap."""
 
 
-class InvalidStarError(BoundedDegreeError, ValueError):
-    """A star profile was requested for a star with no edges."""
-
-
 class HypothesisViolatedError(BoundedDegreeError, ValueError):
     """The caterpillar closed form needs every spine vertex to carry a leaf."""
 

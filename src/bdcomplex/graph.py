@@ -24,13 +24,57 @@ DegreeBounds = tuple[int, ...]
 CanonicalKey = bytes
 
 
-class Graph:
-    """A simple undirected graph with positional vertex and edge identity.
+class Record:
+    """A value record: positional fields named by `_fields`, frozen once built.
 
-    Immutable; equal and hashed by value, so it can key a dict.
+    `Record(*values)` takes one value per field, else raises TypeError.
+    Records are equal when of the same class with equal fields, hashed by
+    their fields, printed as `Name(field=value, ...)`, and pickled as their
+    class and values, so unpickling runs `__init__` again.  A subclass with
+    a dict field sets `__hash__ = None`; one without a `__dict__` sets
+    `__slots__ = _fields`.
     """
 
-    __slots__ = ("num_vertices", "edges")
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(self._fields)} values, got {len(values)}"
+            )
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class Graph(Record):
+    """A simple undirected graph with positional vertex and edge identity.
+
+    A `Record`, so it can key a dict.
+    """
+
+    __slots__ = _fields = ("num_vertices", "edges")
 
     def __init__(self, num_vertices: int, edges: tuple[Edge, ...]):
         if num_vertices < 0:
@@ -44,25 +88,7 @@ class Graph:
             normalized.append((u, v) if u < v else (v, u))
         if len(set(normalized)) != len(normalized):
             raise DuplicateEdgeError("duplicate edge in edge list")
-        object.__setattr__(self, "num_vertices", num_vertices)
-        object.__setattr__(self, "edges", tuple(normalized))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not Graph:
-            return NotImplemented
-        return self.num_vertices == other.num_vertices and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.num_vertices, self.edges))
-
-    def __repr__(self):
-        return f"Graph(num_vertices={self.num_vertices!r}, edges={self.edges!r})"
-
-    def __reduce__(self):
-        return Graph, (self.num_vertices, self.edges)
+        super().__init__(num_vertices, tuple(normalized))
 
     @property
     def num_edges(self) -> int:
@@ -100,14 +126,14 @@ def validate_bounds(graph: Graph, bounds: Sequence[int]) -> DegreeBounds:
     return bounds
 
 
-class CaterpillarSpec:
+class CaterpillarSpec(Record):
     """Spine length, per-spine leaf counts, and per-spine degree bounds.
 
     Leaves always get bound 1; only the spine bounds are free parameters.
-    Immutable; equal and hashed by value.
+    A `Record`, hashed by value.
     """
 
-    __slots__ = ("m", "lambda_spine")
+    __slots__ = _fields = ("m", "lambda_spine")
 
     def __init__(self, m: Sequence[int], lambda_spine: Sequence[int]):
         m = tuple(int(x) for x in m)
@@ -116,25 +142,7 @@ class CaterpillarSpec:
             raise InvalidSizeError("m and lambda_spine must have equal length >= 1")
         if any(x < 0 for x in m) or any(x < 0 for x in lambda_spine):
             raise ValueError("leaf counts and bounds must be non-negative")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "lambda_spine", lambda_spine)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not CaterpillarSpec:
-            return NotImplemented
-        return self.m == other.m and self.lambda_spine == other.lambda_spine
-
-    def __hash__(self):
-        return hash((self.m, self.lambda_spine))
-
-    def __repr__(self):
-        return f"CaterpillarSpec(m={self.m!r}, lambda_spine={self.lambda_spine!r})"
-
-    def __reduce__(self):
-        return CaterpillarSpec, (self.m, self.lambda_spine)
+        super().__init__(m, lambda_spine)
 
     @property
     def n(self) -> int:
@@ -251,7 +259,7 @@ def components(graph: Graph, bounds: Sequence[int]) -> list[GraphComponent]:
     return out
 
 
-class ForestPlan:
+class ForestPlan(Record):
     """The walks of a forest that do not depend on its bounds, built once.
 
     `steps` is the post-order that `sphere_counts` folds: every vertex with
@@ -259,28 +267,11 @@ class ForestPlan:
     its tree.  `trees` holds, per tree, the leaf-peeling sequence of
     (vertex, parent) pairs that `canonical_code` builds its codes along,
     ending with the one or two centers, whose parent is -1; it is made on
-    first use.  One plan serves every bound vector of the forest.
-    Immutable; equal and hashed by value.
+    first use, kept in the plan's `__dict__`, and not pickled.  One plan
+    serves every bound vector of the forest.  A `Record`, hashed by value.
     """
 
-    def __init__(self, graph: Graph, degrees: tuple[int, ...], steps: tuple[Edge, ...]):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "steps", steps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not ForestPlan:
-            return NotImplemented
-        return (self.graph, self.degrees, self.steps) == (other.graph, other.degrees, other.steps)
-
-    def __hash__(self):
-        return hash((self.graph, self.degrees, self.steps))
-
-    def __repr__(self):
-        return f"ForestPlan(graph={self.graph!r}, degrees={self.degrees!r}, steps={self.steps!r})"
+    _fields = ("graph", "degrees", "steps")
 
     @cached_property
     def trees(self) -> tuple[tuple[Edge, ...], ...]:

@@ -15,10 +15,12 @@ bare graph (or one cycle instance).  Consecutive shards go to a pool task
 instance's class by the plan's canonical code of its clamped bounds, runs
 the homology oracle once per class and the plan's forest recursion once per
 instance; the cycle task (`_cycle_task`) checks, face for face, the forest
-that `cycle_reduce` splits one cycle into.  As each task comes back the
-parent checks its instances (`_check`), duplicates included, in the order
-listed.  The clamping and relabeling equivalences themselves are covered by
-dedicated tests and by seeded raw-instance spot checks in the forest sweep.
+that `cycle_reduce` splits one cycle into.  A class's oracle is the
+(profile, euler) pair of `graph_homology`, shared by its instances.  As
+each task comes back the parent checks its instances (`_check`),
+duplicates included, in the order listed.  The clamping and relabeling
+equivalences themselves are covered by dedicated tests and by seeded
+raw-instance spot checks in the forest sweep.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import random
 import time
 from collections import Counter, deque
 from functools import partial
-from typing import NamedTuple, Optional, Sequence
+from typing import Sequence
 
 from .caterpillar import caterpillar_closed_form, cycle_reduce
 from .complexes import DEFAULT_FACE_CAP, build_complex
@@ -56,16 +58,8 @@ from .graph import (
     nonisomorphic_forests,
     random_forest,
 )
-from .homology import graph_homology, wedge_profile
+from .homology import graph_homology
 from .recursion import SphereCounts, plan_counts, sphere_counts
-
-
-class ClassOracle(NamedTuple):
-    """Homology-side facts shared by every instance in a canonical class."""
-
-    wedge: Optional[SphereCounts]
-    torsion: dict[int, tuple[int, ...]]
-    euler: int
 
 
 class VerifyReport:
@@ -151,7 +145,8 @@ def _forest_task(face_cap: int, shards) -> list:
     Each graph's plan is built once and names each instance's class by the
     canonical code of its clamped bounds.  The oracle runs once per class,
     on its first instance, and the plan's recursion once per instance, so
-    an instance's result is (its class's oracle, its counts, no faults).
+    an instance's result is (its class's (profile, euler), its counts, no
+    faults).
     """
     plan = None
     done = []
@@ -209,9 +204,9 @@ def _sweep(report: VerifyReport, shards, run, jobs: int) -> VerifyReport:
     return report.finish()
 
 
-def _oracle_worker(graph: Graph, bounds: DegreeBounds, face_cap: int) -> ClassOracle:
-    profile, euler = graph_homology(graph, bounds, face_cap)
-    return ClassOracle(wedge_profile(profile), profile.torsion, euler)
+def _oracle_worker(graph: Graph, bounds: DegreeBounds, face_cap: int):
+    """The (profile, euler) pair of `graph_homology`: a class's oracle."""
+    return graph_homology(graph, bounds, face_cap)
 
 
 # perfbench/spans.py binds this name for its `harness.pool_task.matching`
@@ -226,25 +221,26 @@ def _record(graph: Graph, bounds, detail: dict) -> dict:
 def _check(report: VerifyReport, graph: Graph, bounds: DegreeBounds, extra, result):
     """Compare one instance's counts against its class oracle and `extra`.
 
-    `result` is (oracle, counts, faults), where faults are reasons found
-    while computing that the instance disagrees, or None for a cycle that
-    nothing splits.  `extra` maps a route to its counts, or is None.
+    `result` is ((profile, euler), counts, faults): the class's
+    `graph_homology`, the instance's counts, and the reasons found while
+    computing that the instance disagrees; or None for a cycle that nothing
+    splits.  `extra` maps a route to its counts, or is None.
     """
     report.instances += 1
     if result is None:
         report.errors.append(_record(graph, bounds, {"reason": "not reducible"}))
         return
-    oracle, counts, faults = result
+    (profile, euler), counts, faults = result
     ok = not faults
     for reason in faults:
         report.mismatches.append(_record(graph, bounds, {"reason": reason}))
-    if oracle.torsion:
-        torsion = {str(d): list(t) for d, t in oracle.torsion.items()}
+    if profile.torsion:
+        torsion = {str(d): list(t) for d, t in profile.torsion.items()}
         report.torsion_hits.append(_record(graph, bounds, {"torsion": torsion}))
         ok = False
-    if oracle.wedge is not None and counts != oracle.wedge:
+    elif counts != profile.betti:  # torsion-free homology is the wedge's
         report.mismatches.append(
-            _record(graph, bounds, {"computed": counts, "oracle": oracle.wedge})
+            _record(graph, bounds, {"computed": counts, "oracle": profile.betti})
         )
         ok = False
     for tag, other in (extra or {}).items():
@@ -253,9 +249,9 @@ def _check(report: VerifyReport, graph: Graph, bounds: DegreeBounds, extra, resu
                 _record(graph, bounds, {"computed": counts, tag: other})
             )
             ok = False
-    if signed_sphere_sum(counts) != oracle.euler:
+    if signed_sphere_sum(counts) != euler:
         report.euler_failures.append(
-            _record(graph, bounds, {"signed_sum": signed_sphere_sum(counts), "euler": oracle.euler})
+            _record(graph, bounds, {"signed_sum": signed_sphere_sum(counts), "euler": euler})
         )
         ok = False
     if ok:
@@ -389,7 +385,7 @@ def sweep_matching_caterpillars(
 
 
 def _cycle_worker(graph: Graph, bounds: DegreeBounds, face_cap: int):
-    """(oracle of the cycle, split counts, faults of its split), or None if nothing splits."""
+    """(the cycle's graph_homology, its split's counts and faults), or None if nothing splits."""
     reduced = cycle_reduce(graph, bounds)
     if reduced is None:
         return None
@@ -407,8 +403,7 @@ def _cycle_worker(graph: Graph, bounds: DegreeBounds, face_cap: int):
     # equal face sets make one complex, so only a fault asks for the split's homology
     if faults and cyc_h != graph_homology(split, split_bounds, face_cap)[0]:
         faults.append("homology differs")
-    oracle = ClassOracle(wedge_profile(cyc_h), cyc_h.torsion, euler)
-    return oracle, sphere_counts(split, split_bounds), faults
+    return (cyc_h, euler), sphere_counts(split, split_bounds), faults
 
 
 def _cycle_task(face_cap: int, shards) -> list:

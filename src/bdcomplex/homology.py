@@ -42,7 +42,7 @@ from operator import or_
 from typing import Collection, Optional, Sequence
 
 from .complexes import DEFAULT_FACE_CAP, SimplicialComplex, _checked, _edge_counts, excised_cells
-from .graph import Graph
+from .graph import Graph, Record
 
 
 class IntegerMatrix:
@@ -237,18 +237,15 @@ def _divisibility_fix(values: list[int]) -> tuple[int, ...]:
 
 
 def smith_normal_form(
-    m: IntegerMatrix, *, unit_rows: Optional[list[int]] = None, in_place: bool = False
+    m: IntegerMatrix, *, unit_rows: Optional[list[int]] = None
 ) -> tuple[int, tuple[int, ...]]:
     """Rank and invariant factors d1 | d2 | ... | d_rank of an integer matrix.
 
-    The elimination works on a copy of the columns of `m`, which is left as
-    it is, or with `in_place` on its columns themselves, which are then
-    left reduced: for a matrix that is not read again.  When `unit_rows` is
-    a list, the row of every +-1 pivot of the unit elimination is appended
-    to it, in pivot order.
+    The elimination works on the columns of `m` themselves, which are left
+    reduced: a matrix is not read again after this.  When `unit_rows` is a
+    list, the row of every +-1 pivot of the unit elimination is appended to
+    it, in pivot order.
     """
-    if not in_place:
-        m = IntegerMatrix(m.rows, m.cols, columns={j: dict(col) for j, col in m.columns.items()})
     pivot_rows, leftover = _eliminate_units(m)
     if unit_rows is not None:
         unit_rows.extend(pivot_rows)
@@ -257,37 +254,24 @@ def smith_normal_form(
     return units + rank, (1,) * units + _divisibility_fix(diagonal)
 
 
-class HomologyProfile:
+class HomologyProfile(Record):
     """Reduced Betti numbers and torsion, keyed by dimension.
 
     Only nonzero Betti numbers and nonempty torsion lists are stored.
     Dimension -1 is the class of the empty face: betti[-1] = 1 exactly when
-    the complex has no vertices at all.  Immutable and equal by value.
+    the complex has no vertices at all.  A `Record`; its dict fields make
+    it unhashable.
     """
 
-    __slots__ = ("betti", "torsion")
+    __slots__ = _fields = ("betti", "torsion")
+    __hash__ = None
 
     def __init__(
         self,
         betti: Optional[dict[int, int]] = None,
         torsion: Optional[dict[int, tuple[int, ...]]] = None,
     ):
-        object.__setattr__(self, "betti", {} if betti is None else betti)
-        object.__setattr__(self, "torsion", {} if torsion is None else torsion)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not HomologyProfile:
-            return NotImplemented
-        return self.betti == other.betti and self.torsion == other.torsion
-
-    def __repr__(self):
-        return f"HomologyProfile(betti={self.betti!r}, torsion={self.torsion!r})"
-
-    def __reduce__(self):
-        return HomologyProfile, (self.betti, self.torsion)
+        super().__init__({} if betti is None else betti, {} if torsion is None else torsion)
 
     @property
     def is_torsion_free(self) -> bool:
@@ -366,7 +350,7 @@ def relative_homology(
             continue
         unit_rows: list[int] = []
         ranks[d], factors = smith_normal_form(
-            boundary_matrix(cells, d, skip=cleared), unit_rows=unit_rows, in_place=True
+            boundary_matrix(cells, d, skip=cleared), unit_rows=unit_rows
         )
         cleared = set(unit_rows)
         nontrivial = tuple(x for x in factors if x > 1)

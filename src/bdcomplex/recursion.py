@@ -51,18 +51,6 @@ def counts_normalize(counts: dict[int, int]) -> SphereCounts:
     return {d: c for d, c in counts.items() if c}
 
 
-def counts_shift(counts: SphereCounts, by: int = 1) -> SphereCounts:
-    """Suspension: every sphere dimension moves up by `by`."""
-    return {d + by: c for d, c in counts.items()}
-
-
-def counts_add(a: SphereCounts, b: SphereCounts) -> SphereCounts:
-    out = dict(a)
-    for d, c in b.items():
-        out[d] = out.get(d, 0) + c
-    return counts_normalize(out)
-
-
 def join_convolve(a: SphereCounts, b: SphereCounts) -> SphereCounts:
     """Sphere counts of a join: dimensions add plus one, multiplicities multiply.
 

@@ -46,7 +46,7 @@ from bdcomplex.graph import (
     validate_bounds,
 )
 from bdcomplex.homology import HomologyProfile, IntegerMatrix, boundary_matrix, smith_normal_form
-from bdcomplex.recursion import counts_add, counts_shift, join_convolve, simplify
+from bdcomplex.recursion import counts_normalize, join_convolve, simplify
 
 
 class NotAVertexError(BoundedDegreeError, ValueError):
@@ -55,6 +55,10 @@ class NotAVertexError(BoundedDegreeError, ValueError):
 
 class DepthCapExceededError(BoundedDegreeError, RuntimeError):
     """The decomposition witness search hit its recursion depth cap."""
+
+
+class InvalidStarError(BoundedDegreeError, ValueError):
+    """A star profile was requested for a star with no edges."""
 
 
 class WouldGoNegativeError(BoundedDegreeError, ValueError):
@@ -134,6 +138,14 @@ def from_maximal_faces(ground_set: int, facets: Iterable[Sequence[int]]) -> Simp
 
 def f_vector(k: SimplicialComplex) -> tuple[int, ...]:
     return tuple(len(layer) for layer in k.faces_by_dim)
+
+
+def reduced_euler(k: SimplicialComplex) -> int:
+    """Alternating face-count sum including the empty face: sum (-1)^d f_d - 1."""
+    total = -1
+    for d, layer in enumerate(k.faces_by_dim):
+        total += len(layer) if d % 2 == 0 else -len(layer)
+    return total
 
 
 def has_face(k: SimplicialComplex, face: Sequence[int]) -> bool:
@@ -658,6 +670,18 @@ def pick_recursion_edge(graph: Graph):
     return None
 
 
+def counts_shift(counts: dict[int, int], by: int = 1) -> dict[int, int]:
+    """Suspension: every sphere dimension moves up by `by`."""
+    return {d + by: c for d, c in counts.items()}
+
+
+def counts_add(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out = dict(a)
+    for d, c in b.items():
+        out[d] = out.get(d, 0) + c
+    return counts_normalize(out)
+
+
 def reference_sphere_counts(graph: Graph, bounds, *, cache=None, edge_picker=None):
     """Sphere counts by the paper's recursion applied to whole forests.
 
@@ -833,6 +857,25 @@ def spine_subsets(n: int):
     for r in range(n):
         for combo in itertools.combinations(range(n - 1), r):
             yield SpineSubset(n, frozenset(combo))
+
+
+def star_profile(k: int, r: int) -> dict[int, int]:
+    """Homotopy type of the complex of a star with r leaves and center bound k.
+
+    The faces are the leaf-edge subsets of size at most k, i.e. the
+    (k-1)-skeleton of a simplex on r vertices: a wedge of C(r-1, k) spheres
+    of dimension k-1 when k < r, a point when k >= r, and the bare empty
+    face when k = 0.
+    """
+    if r < 1:
+        raise InvalidStarError("a star needs at least one leaf")
+    if k < 0:
+        raise ValueError("the center bound must be non-negative")
+    if k == 0:
+        return {-1: 1}
+    if k >= r:
+        return {}
+    return {k - 1: comb(r - 1, k)}
 
 
 def reference_caterpillar_counts(spec: CaterpillarSpec) -> dict[int, int]:

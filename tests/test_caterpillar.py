@@ -5,16 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdcomplex.caterpillar import (
-    caterpillar_closed_form,
-    cycle_reduce,
-    star_profile,
-)
+from bdcomplex.caterpillar import caterpillar_closed_form, cycle_reduce
 from bdcomplex.complexes import build_complex
 from bdcomplex.errors import (
     HypothesisViolatedError,
     InvalidSizeError,
-    InvalidStarError,
     ParseError,
 )
 from bdcomplex.graph import (
@@ -30,6 +25,7 @@ from bdcomplex.homology import graph_homology, reduced_homology, wedge_profile
 from bdcomplex.recursion import plan_counts, sphere_counts
 
 from oracles import (
+    InvalidStarError,
     SpineSubset,
     face_tuple,
     graph_keeping_a_cycle,
@@ -37,6 +33,7 @@ from oracles import (
     reference_caterpillar_counts,
     reference_reduced_homology,
     spine_subsets,
+    star_profile,
     tuple_faces,
 )
 

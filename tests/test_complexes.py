@@ -10,7 +10,6 @@ from bdcomplex.complexes import (
     build_complex,
     edge_face_counts,
     excised_cells,
-    reduced_euler,
 )
 from bdcomplex.errors import FaceCapExceededError
 from bdcomplex.graph import (
@@ -39,6 +38,7 @@ from oracles import (
     has_face,
     link,
     maximal_faces,
+    reduced_euler,
     reference_edge_face_counts,
     face_tuple,
     reference_excise,

@@ -16,11 +16,20 @@ import pytest
 from bdcomplex import cli, dispatch, harness
 from bdcomplex.complexes import DEFAULT_FACE_CAP, SimplicialComplex
 from bdcomplex.errors import MethodMismatchError
-from bdcomplex.graph import CaterpillarSpec, forest_plan, gen_caterpillar, gen_cycle, gen_path
+from bdcomplex.graph import (
+    CaterpillarSpec,
+    ForestPlan,
+    Graph,
+    Record,
+    forest_plan,
+    gen_caterpillar,
+    gen_cycle,
+    gen_path,
+)
 from bdcomplex.harness import (
     POOL_READ_AHEAD,
-    ClassOracle,
     ComputeResult,
+    Instance,
     VerifyReport,
     pool_map,
     sweep_caterpillars,
@@ -28,7 +37,6 @@ from bdcomplex.harness import (
     sweep_forests,
     sweep_matching_caterpillars,
     sweep_random_forests,
-    usable_cpus,
 )
 from bdcomplex.homology import HomologyProfile
 
@@ -49,7 +57,8 @@ class TestPoolMap:
         assert list(pool_map(_square, [], 1)) == []
         assert list(pool_map(_square, [], 2)) == []
 
-    def test_caller_stopping_early_ends_the_pool(self):
+    def test_caller_stopping_early_ends_the_pool(self, monkeypatch):
+        monkeypatch.setattr(dispatch, "usable_cpus", lambda: 2)  # a pool on any host
         read = []
 
         def tasks():
@@ -57,7 +66,7 @@ class TestPoolMap:
                 read.append(x)
                 yield x
 
-        ahead = POOL_READ_AHEAD * min(2, usable_cpus())
+        ahead = POOL_READ_AHEAD * 2
         taken = []
 
         def take_three_and_stop():
@@ -99,9 +108,19 @@ class TestPoolMap:
                 return iter(())
 
         monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(dispatch, "usable_cpus", lambda: 2)
         assert list(pool_map(_square, range(10_000), 5000)) == []
-        assert started == [usable_cpus()]
-        assert read_ahead == [POOL_READ_AHEAD * usable_cpus()]
+        assert started == [2]
+        assert read_ahead == [POOL_READ_AHEAD * 2]
+
+    def test_one_usable_cpu_runs_without_a_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for one usable CPU")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(dispatch, "usable_cpus", lambda: 1)
+        tasks = iter(range(40))
+        assert list(pool_map(_square, tasks, 2)) == [x * x for x in range(40)]
 
 
 class TestSweepStreaming:
@@ -404,10 +423,6 @@ class TestRecords:
             lambda: HomologyProfile({1: 1}),
             "HomologyProfile(betti={1: 1}, torsion={})",
         ),
-        "oracle": (
-            lambda: ClassOracle({1: 1}, {}, -1),
-            "ClassOracle(wedge={1: 1}, torsion={}, euler=-1)",
-        ),
         "instance": (
             lambda: harness.parse_instance({"cycle": {"n": 3, "lambda": [1, 1, 1]}}),
             "Instance(source={'cycle': {'n': 3, 'lambda': [1, 1, 1]}}, cat_spec=None,"
@@ -453,3 +468,39 @@ class TestRecords:
         two.instances += 1
         assert one == two  # apart from `started`
         assert "started" not in repr(one)
+
+    def test_the_records_share_one_base(self):
+        for cls in (Graph, CaterpillarSpec, ForestPlan, HomologyProfile, Instance):
+            assert issubclass(cls, Record), cls
+            for name in ("__eq__", "__hash__", "__repr__", "__setattr__", "__reduce__"):
+                # an unhashable record sets __hash__ to None and writes no method
+                assert vars(cls).get(name) is None, (cls, name)
+
+    def test_wrong_number_of_values(self):
+        class Pair(Record):
+            __slots__ = _fields = ("a", "b")
+
+        assert Pair(1, 2) == Pair(1, 2) and repr(Pair(1, 2)) == "Pair(a=1, b=2)"
+        for values in ((), (1,), (1, 2, 3)):
+            with pytest.raises(TypeError, match=f"Pair takes 2 values, got {len(values)}"):
+                Pair(*values)
+        plan = forest_plan(gen_path(2))
+        with pytest.raises(TypeError):
+            ForestPlan(plan.graph, plan.degrees)
+        with pytest.raises(TypeError):
+            ForestPlan(plan.graph, plan.degrees, plan.steps, ())
+
+    def test_a_read_cache_is_not_pickled(self):
+        plan = forest_plan(gen_caterpillar(CaterpillarSpec((2, 1), (2, 1)))[0])
+        fresh = pickle.dumps(plan)
+        assert plan.trees
+        back = pickle.loads(pickle.dumps(plan))
+        assert back == plan and back.graph == plan.graph and "trees" not in vars(back)
+        assert pickle.dumps(plan) == fresh and back.trees == plan.trees
+
+        instance = harness.parse_instance({"caterpillar": {"m": [2, 1], "lambda": [2, 1]}})
+        fresh = pickle.dumps(instance)
+        graph = instance.graph
+        back = pickle.loads(pickle.dumps(instance))
+        assert "_graph_bounds" not in vars(back)  # before reading it builds the graph again
+        assert back == instance and back.graph == graph and pickle.dumps(instance) == fresh

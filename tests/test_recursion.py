@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdcomplex.complexes import build_complex, reduced_euler
+from bdcomplex.complexes import build_complex
 from bdcomplex.errors import NotAForestError
 from bdcomplex.graph import (
     CaterpillarSpec,
@@ -22,8 +22,6 @@ from bdcomplex.graph import (
 from bdcomplex.harness import clamped_bound_grid
 from bdcomplex.homology import reduced_homology, wedge_profile
 from bdcomplex.recursion import (
-    counts_add,
-    counts_shift,
     join_convolve,
     plan_counts,
     simplify,
@@ -32,8 +30,11 @@ from bdcomplex.recursion import (
 
 from oracles import (
     WouldGoNegativeError,
+    counts_add,
+    counts_shift,
     decrement_bounds,
     pick_recursion_edge,
+    reduced_euler,
     reference_reduced_euler,
     reference_sphere_counts,
 )

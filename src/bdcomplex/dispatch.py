@@ -28,7 +28,6 @@ from .graph import (
     forest_plan,
     gen_caterpillar,
     gen_cycle,
-    is_forest,
     make_graph,
     validate_bounds,
 )
@@ -190,8 +189,13 @@ def compute_instance(
     else:
         return done("recursion", plan_counts(plan, instance.bounds))
     reduced = cycle_reduce(instance.graph, instance.bounds)
-    if reduced is not None and is_forest(reduced[0]):
-        return done("cycle-reduce", plan_counts(forest_plan(reduced[0]), reduced[1]))
+    if reduced is not None:
+        try:
+            plan = forest_plan(reduced[0])
+        except NotAForestError:
+            pass  # the split kept a cycle: the oracle answers
+        else:
+            return done("cycle-reduce", plan_counts(plan, reduced[1]))
     profile, _ = graph_homology(instance.graph, instance.bounds, face_cap)
     return done("homology", wedge_profile(profile), profile)
 

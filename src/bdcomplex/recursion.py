@@ -34,6 +34,12 @@ builds one plan per forest for its whole bound grid.  Every weight is a
 positive count (products of positives, and C(r-1, k) >= 1 for k < r), so a
 fold adds each contribution into its output state in place, with the star's
 shift and multiplicity applied as it adds, and never normalizes.
+
+The same positivity lets the pass stop early.  A vertex left with no state,
+or a tree whose root closes with none, is an empty sum: no later fold or
+leaf can bring a state back, that tree is contractible, and a join with a
+contractible factor is contractible.  So `plan_counts` returns {} there and
+folds nothing more.
 """
 
 from __future__ import annotations
@@ -134,7 +140,9 @@ def plan_counts(plan: ForestPlan, bounds: Sequence[int]) -> SphereCounts:
     """Sphere multiplicities of the forest of `plan` under valid `bounds`.
 
     One pass over the plan's post-order; a root closes its tree with its
-    own star, and trees combine with the join convolution.
+    own star, and trees combine with the join convolution.  The pass returns
+    {} at the first vertex or root left with no state: weights are positive
+    counts, so that empty sum stays empty and makes the join contractible.
     """
     states: list[Optional[dict]] = [None] * len(plan.degrees)
     result: Optional[SphereCounts] = None
@@ -145,6 +153,8 @@ def plan_counts(plan: ForestPlan, bounds: Sequence[int]) -> SphereCounts:
             parent = _START if states[p] is None else states[p]
             if mine is not None:
                 states[p] = _fold_child(parent, mine, bounds[p], bounds[v])
+                if not states[p]:
+                    return {}  # no state left: contractible (see the module docstring)
             elif bounds[v]:
                 # a leaf child with bound >= 1 is one more live leaf at p
                 states[p] = {(j, r + 1): w for (j, r), w in parent.items()}
@@ -161,6 +171,8 @@ def plan_counts(plan: ForestPlan, bounds: Sequence[int]) -> SphereCounts:
                 shift, mult = k, comb(r - 1, k)
             for d, c in w.items():
                 tree[d + shift] = tree.get(d + shift, 0) + c * mult
+        if not tree:
+            return {}  # a contractible tree makes the whole join contractible
         result = tree if result is None else join_convolve(result, tree)
     return {-1: 1} if result is None else result
 

@@ -632,6 +632,14 @@ class TestVerifyCommand:
         assert code == 0
         assert out == golden.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_batch_matches_golden_output(self, capsys, jobs):
+        """The 344 lines of `perfbench/inputs.py batch --seed 1` give these exact bytes."""
+        data = Path(__file__).parent / "data"
+        code, out, _ = run(capsys, ["batch", str(data / "batch_seed1.jsonl"), "--jobs", jobs])
+        assert code == 0
+        assert out == (data / "batch_seed1_out.jsonl").read_text(encoding="utf-8")
+
 
 class TestOptionRanges:
     @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from bdcomplex.graph import (
 )
 from bdcomplex.harness import clamped_bound_grid
 from bdcomplex.homology import reduced_homology, wedge_profile
+from bdcomplex import recursion
 from bdcomplex.recursion import (
     join_convolve,
     plan_counts,
@@ -280,6 +281,38 @@ class TestForestPlan:
     def test_forest_required(self):
         with pytest.raises(NotAForestError):
             forest_plan(gen_cycle(4))
+
+
+class TestEarlyStop:
+    """`plan_counts` stops at the first vertex or tree root left with no state."""
+
+    @staticmethod
+    def counted_folds(monkeypatch, graph, bounds):
+        folds = []
+        fold = recursion._fold_child
+
+        def counted(*args):
+            folds.append(args)
+            return fold(*args)
+
+        monkeypatch.setattr(recursion, "_fold_child", counted)
+        return plan_counts(forest_plan(graph), bounds), len(folds)
+
+    def test_stops_at_the_first_empty_vertex(self, monkeypatch):
+        # vertex 38 has bound 2, its degree, and leaf 39: edge {38, 39} is a
+        # cone point of the complex, so folding 38 into 37 leaves no state
+        bounds = (1,) * 38 + (2, 1)
+        counts, folds = self.counted_folds(monkeypatch, gen_path(40), bounds)
+        assert (counts, folds) == ({}, 1)
+        assert reference_sphere_counts(gen_path(40), bounds) == {}
+
+    def test_a_contractible_tree_skips_the_later_trees(self, monkeypatch):
+        # the first tree, one edge with bounds (1, 1), closes with no state
+        forest, bounds = disjoint_union(gen_path(2), (1, 1), gen_path(40), (1,) * 40)
+        counts, folds = self.counted_folds(monkeypatch, forest, bounds)
+        assert (counts, folds) == ({}, 0)
+        assert reference_sphere_counts(forest, bounds) == {}
+
 
 def signed_sum(counts):
     return sum(c if d % 2 == 0 else -c for d, c in counts.items())

@@ -4,10 +4,10 @@ The chain complex is augmented: the empty face generates degree -1, so the
 complex consisting of only the empty face has one reduced homology class in
 degree -1.  All arithmetic is exact, on Python integers, and matrices stay
 sparse throughout, stored as columns: `boundary_matrix` builds each column
-straight from the set bits of the face's edge bitmask, a low-valence pass
-splits off every +-1 pivot by column operations, and a textbook Smith
-elimination, which takes its pivots from a lazy heap, handles the (usually
-tiny) remainder, so memory follows the number of nonzeros, not rows x columns.
+straight from the set bits of the face's edge bitmask, and one sparse
+elimination splits off every +-1 pivot by column operations, then reduces
+the (usually tiny) rest on the same columns by row and column operations,
+so memory follows the number of nonzeros, not rows x columns.
 
 Every route's oracle is `graph_homology`, which never builds the complex
 K of a graph.  `_critical_cells` counts the critical cells of an acyclic
@@ -105,17 +105,25 @@ def boundary_matrix(k: SimplicialComplex, d: int, *, skip: Collection[int] = ())
     return IntegerMatrix(len(row_faces), len(col_faces), columns=columns)
 
 
-def _eliminate_units(m: IntegerMatrix) -> tuple[list[int], dict[tuple[int, int], int]]:
-    """Split off every +-1 pivot by sparse column elimination.
+def _eliminate(m: IntegerMatrix) -> tuple[list[int], list[int]]:
+    """Sparse Smith elimination of the columns of `m`, in place: every +-1 pivot first.
 
     Low-valence pivoting after Dumas, Heckenbach, Saunders and Welker: the
     column with the fewest nonzeros comes off a lazy heap first, and within it
     the unit entry whose row has the fewest nonzeros (the lowest row on
     ties), which keeps fill-in low.  Column operations clear the rest of the
     pivot row, after which the pivot is alone in its row, so its row and
-    column split off as one invariant factor 1.  Reduces the matrix's
-    columns in place.  Returns the rows of the unit pivots, in pivot order,
-    and the entries left once no column holds a unit.
+    column split off as one invariant factor 1.  No row operation comes
+    before the last unit pivot, so their rows are rows of `m`.
+
+    Once no column holds a unit, the same columns and row index finish the
+    reduction, again sparsest column first: the pivot is the column's
+    smallest entry (in the sparsest row, then the lowest, on ties).  Row
+    operations clear the rest of its column and column operations the rest
+    of its row; a remainder, always smaller, becomes the new pivot, until
+    the pivot stands alone and its absolute value is one diagonal value.
+    Returns the rows of the unit pivots, in pivot order, and the other
+    diagonal values; `m` is left with no column.
     """
     cols = m.columns
     row_cols: list[set[int]] = [set() for _ in range(m.rows)]
@@ -158,81 +166,69 @@ def _eliminate_units(m: IntegerMatrix) -> tuple[list[int], dict[tuple[int, int],
             else:
                 del cols[j]
         pivot_rows.append(r)
-    return pivot_rows, m.entries
-
-
-def _exact_snf(entries: dict[tuple[int, int], int]):
-    """Textbook sparse Smith elimination over arbitrary-precision integers.
-
-    Pivot selection: smallest nonzero absolute value, ties broken by lowest
-    row then lowest column, from a lazy min-heap of (|v|, row, column) that
-    gets an item on every nonzero write; an item whose entry has since been
-    rewritten or cleared is dropped when popped.  Returns (rank, list of
-    diagonal values); the divisibility chain is restored by the caller.
-    """
-    rows: dict[int, dict[int, int]] = {}
-    col_index: dict[int, set[int]] = {}
-    heap = []
-
-    def set_entry(i: int, j: int, v: int):
-        if v:
-            rows.setdefault(i, {})[j] = v
-            col_index.setdefault(j, set()).add(i)
-            heapq.heappush(heap, (abs(v), i, j))
-        else:
-            row = rows.get(i)
-            if row and j in row:
-                del row[j]
-                if not row:
-                    del rows[i]
-                col_index[j].discard(i)
-                if not col_index[j]:
-                    del col_index[j]
-
-    for (i, j), v in entries.items():
-        set_entry(i, j, v)
     diagonal: list[int] = []
-    while rows:
-        size, r, c = heapq.heappop(heap)
-        if abs(rows.get(r, {}).get(c, 0)) != size:
-            continue  # stale: the entry was rewritten or cleared since
+    heap = [(len(col), j) for j, col in cols.items()]
+    heapq.heapify(heap)
+    while heap:
+        size, c = heapq.heappop(heap)
+        col = cols.get(c)
+        if col is None or len(col) != size:
+            continue
+        changed = set()  # the columns of every pivot row, each queued again once
         while True:
-            p = rows[r][c]
-            i = next((i for i in col_index[c] if i != r), None)
-            if i is not None:
-                q = rows[i][c] // p
-                for j, v in list(rows[r].items()):
-                    set_entry(i, j, rows.get(i, {}).get(j, 0) - q * v)
-                if rows.get(i, {}).get(c, 0):
-                    r = i  # remainder became the new, smaller pivot
+            r = min(col, key=lambda i: (abs(col[i]), len(row_cols[i]), i))
+            p = col[r]
+            changed |= row_cols[r]
+            others = [(i, v // p) for i, v in col.items() if i != r]
+            if others:  # row operations leave the remainders in the pivot's column
+                row = [(j, cols[j][r]) for j in row_cols[r]]
+                for i, f in others:
+                    for j, x in row:
+                        target = cols[j]
+                        w = target.get(i, 0) - f * x
+                        if w:
+                            target[i] = w
+                            row_cols[i].add(j)
+                        else:
+                            del target[i]
+                            row_cols[i].discard(j)
                 continue
-            j = next((j for j in rows[r] if j != c), None)
-            if j is not None:
-                q = rows[r][j] // p
-                for i in list(col_index[c]):
-                    set_entry(i, j, rows.get(i, {}).get(j, 0) - q * rows[i][c])
-                if rows.get(r, {}).get(j, 0):
-                    c = j
-                continue
-            break
-        diagonal.append(abs(rows[r][c]))
-        set_entry(r, c, 0)
-    return len(diagonal), diagonal
+            for j in row_cols[r] - {c}:  # column operations leave them in its row
+                target = cols[j]
+                target[r] %= p
+                if not target[r]:
+                    del target[r]
+                    row_cols[r].discard(j)
+                    if not target:
+                        del cols[j]
+            if len(row_cols[r]) == 1:
+                break
+            c = min(row_cols[r] - {c}, key=lambda j: abs(cols[j][r]))
+            col = cols[c]
+        diagonal.append(abs(p))
+        del cols[c]
+        row_cols[r].clear()
+        for j in changed:
+            if j in cols:
+                heapq.heappush(heap, (len(cols[j]), j))
+    return pivot_rows, diagonal
 
 
 def _divisibility_fix(values: list[int]) -> tuple[int, ...]:
-    """Turn a diagonal multiset into the invariant factor chain d1 | d2 | ..."""
+    """Turn a multiset of nonzero diagonal values into the invariant factor chain d1 | d2 | ...
+
+    One pass over the sorted values: step (i, j), i < j, swaps f[i], f[j]
+    for their gcd and lcm unless f[i] divides f[j], which keeps the group.
+    After it f[i] | f[j], and later steps keep that: f[i] only falls to a
+    divisor, f[j] only rises to a multiple, and a later f[i'] falls to the
+    gcd of two values that f[i] divides.
+    """
     f = sorted(abs(v) for v in values)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(f)):
-            for j in range(i + 1, len(f)):
-                if f[j] % f[i]:
-                    g = math.gcd(f[i], f[j])
-                    f[i], f[j] = g, f[i] * f[j] // g
-                    changed = True
-        f.sort()
+    for i in range(len(f)):
+        for j in range(i + 1, len(f)):
+            if f[j] % f[i]:
+                g = math.gcd(f[i], f[j])
+                f[i], f[j] = g, f[i] * f[j] // g
     return tuple(f)
 
 
@@ -241,17 +237,16 @@ def smith_normal_form(
 ) -> tuple[int, tuple[int, ...]]:
     """Rank and invariant factors d1 | d2 | ... | d_rank of an integer matrix.
 
-    The elimination works on the columns of `m` themselves, which are left
-    reduced: a matrix is not read again after this.  When `unit_rows` is a
+    The elimination works on the columns of `m` themselves and leaves none:
+    a matrix is not read again after this.  When `unit_rows` is a
     list, the row of every +-1 pivot of the unit elimination is appended to
     it, in pivot order.
     """
-    pivot_rows, leftover = _eliminate_units(m)
+    pivot_rows, diagonal = _eliminate(m)
     if unit_rows is not None:
         unit_rows.extend(pivot_rows)
     units = len(pivot_rows)
-    rank, diagonal = _exact_snf(leftover)
-    return units + rank, (1,) * units + _divisibility_fix(diagonal)
+    return units + len(diagonal), (1,) * units + _divisibility_fix(diagonal)
 
 
 class HomologyProfile(Record):

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import pytest
 import bdcomplex
@@ -238,6 +239,13 @@ class TestReducedHomology:
         k7 = make_graph(7, list(itertools.combinations(range(7), 2)))
         h = reduced_homology(build_complex(k7, (1,) * 7))
         assert h.betti == {2: 20} and h.torsion == {1: (3,)}
+
+    def test_matching_complex_of_k9(self):
+        # a torsion group with several factors: (Z/3)^8 in dimension 2
+        k9 = make_graph(9, list(itertools.combinations(range(9), 2)))
+        h, euler = graph_homology(k9, (1,) * 9)
+        assert h.betti == {2: 42, 3: 70} and h.torsion == {2: (3,) * 8}
+        assert euler == 42 - 70
 
     def test_betti_minus_one_flag(self):
         rng = random.Random(10)
@@ -737,6 +745,27 @@ class TestExactFallback:
         rank, factors = smith_normal_form(m)
         assert rank == 878
         assert smith_normal_form(doubled) == (878, tuple(2 * x for x in factors))
+
+    def test_doubled_boundary_matrix_memory(self):
+        # the elimination's own memory stays within a small multiple of its matrix
+        m = boundary_matrix(caterpillar_3333(), 5)
+        entries = {ij: 2 * v for ij, v in m.entries.items()}
+        tracemalloc.start()
+        try:
+            doubled = IntegerMatrix(m.rows, m.cols, entries)
+            size = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            smith_normal_form(doubled)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * size
+
+    def test_pivot_row_left_by_a_remainder(self):
+        # the pivot moves to smaller remainders, in other rows and columns,
+        # and every entry it leaves behind must still be reduced
+        dense = [[-5, 7, 0], [0, 4, 4], [0, 4, 0]]
+        assert smith_normal_form(matrix_from_dense(dense)) == naive_snf(dense) == (3, (1, 4, 20))
 
 
 class TestMemoryBound:

@@ -14,7 +14,7 @@ import sys
 from contextlib import nullcontext
 from functools import partial
 from itertools import chain, islice
-from typing import Optional
+from typing import Collection, Optional
 
 from .complexes import DEFAULT_FACE_CAP
 from .errors import BoundedDegreeError, InvalidParamsError, InvalidSizeError, ParseError
@@ -260,7 +260,18 @@ def _non_negative_list(text: str) -> list[int]:
     return [_non_negative_int(x) for x in text.split(",")] if text else []
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(words: Optional[Collection[str]] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, given the `words` of a command line,
+    of the subcommands named there only.
+
+    Every subcommand and `verify` family is listed either way, so the help
+    and every usage error that a command line can reach read the same: the
+    subparser that runs is one that the line names.
+    """
+
+    def named(name: str) -> bool:
+        return words is None or name in words
+
     parser = argparse.ArgumentParser(
         prog="bdcomplex",
         description="Bounded degree complexes: homotopy types and verification.",
@@ -273,72 +284,83 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timings", action="store_true", help="include timing fields")
 
     p = sub.add_parser("compute", help="compute one instance")
-    p.add_argument("instance", nargs="?", default="-", help="instance JSON file or - for stdin")
-    p.add_argument("--method", choices=METHODS, default="auto")
-    common(p)
-    p.set_defaults(func=cmd_compute)
+    if named("compute"):
+        p.add_argument("instance", nargs="?", default="-", help="instance JSON file or - for stdin")
+        p.add_argument("--method", choices=METHODS, default="auto")
+        common(p)
+        p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("batch", help="compute a JSON-lines file of instances")
-    p.add_argument("file", nargs="?", default="-")
-    p.add_argument("--method", choices=METHODS, default="auto")
-    p.add_argument("--jobs", type=_positive_int, default=1)
-    common(p)
-    p.set_defaults(func=cmd_batch)
+    if named("batch"):
+        p.add_argument("file", nargs="?", default="-")
+        p.add_argument("--method", choices=METHODS, default="auto")
+        p.add_argument("--jobs", type=_positive_int, default=1)
+        common(p)
+        p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("generate", help="emit an instance JSON")
-    fam = p.add_subparsers(dest="family", required=True)
-    pc = fam.add_parser("caterpillar")
-    pc.add_argument("--m", required=True, help="comma-separated leaf counts")
-    pc.add_argument("--lambda", dest="bounds", required=True, help="comma-separated spine bounds")
-    pp = fam.add_parser("path")
-    pp.add_argument("--n", type=int, required=True)
-    pp.add_argument("--lambda", dest="bounds", required=True)
-    py = fam.add_parser("cycle")
-    py.add_argument("--n", type=int, required=True)
-    py.add_argument("--lambda", dest="bounds", required=True)
-    p.set_defaults(func=cmd_generate)
+    if named("generate"):
+        fam = p.add_subparsers(dest="family", required=True)
+        pc = fam.add_parser("caterpillar")
+        pc.add_argument("--m", required=True, help="comma-separated leaf counts")
+        pc.add_argument("--lambda", dest="bounds", required=True, help="comma-separated spine bounds")
+        pp = fam.add_parser("path")
+        pp.add_argument("--n", type=int, required=True)
+        pp.add_argument("--lambda", dest="bounds", required=True)
+        py = fam.add_parser("cycle")
+        py.add_argument("--n", type=int, required=True)
+        py.add_argument("--lambda", dest="bounds", required=True)
+        p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("verify", help="sweep a family and check all methods agree")
-    fam = p.add_subparsers(dest="family", required=True)
+    if named("verify"):
+        fam = p.add_subparsers(dest="family", required=True)
 
-    def verify_common(q):
-        q.add_argument("--jobs", type=_positive_int, default=1)
-        q.add_argument("--seed", type=int, default=0)
-        common(q)
+        def verify_common(q):
+            q.add_argument("--jobs", type=_positive_int, default=1)
+            q.add_argument("--seed", type=int, default=0)
+            common(q)
 
-    q = fam.add_parser("forests")
-    q.add_argument("--max-edges", type=_non_negative_int, default=5)
-    q.add_argument("--max-bound", type=_non_negative_int, default=2)
-    q.add_argument("--raw-samples", type=_non_negative_int, default=200)
-    verify_common(q)
-    q = fam.add_parser("caterpillars")
-    q.add_argument("--max-spine", type=_non_negative_int, default=3)
-    q.add_argument("--max-leaves", type=_non_negative_int, default=3)
-    q.add_argument("--max-bound", type=_non_negative_int, default=3)
-    q.add_argument("--min-leaves", type=_non_negative_int, default=1)
-    verify_common(q)
-    q = fam.add_parser("cycles")
-    q.add_argument("--max-n", type=partial(_int_at_least, 3), default=7)
-    q.add_argument("--max-bound", type=_non_negative_int, default=3)
-    q.add_argument("--last-bounds", type=_non_negative_list, default="0,2,3")
-    verify_common(q)
-    q = fam.add_parser("matching")
-    q.add_argument("--max-spine", type=_non_negative_int, default=3)
-    q.add_argument("--max-leaves", type=_non_negative_int, default=3)
-    q.add_argument("--k", type=_non_negative_list, default="1,2,3")
-    verify_common(q)
-    q = fam.add_parser("random")
-    q.add_argument("--count", type=_non_negative_int, default=100)
-    q.add_argument("--max-edges", type=_non_negative_int, default=9)
-    q.add_argument("--max-bound", type=_non_negative_int, default=3)
-    verify_common(q)
-    p.set_defaults(func=cmd_verify)
+        q = fam.add_parser("forests")
+        if named("forests"):
+            q.add_argument("--max-edges", type=_non_negative_int, default=5)
+            q.add_argument("--max-bound", type=_non_negative_int, default=2)
+            q.add_argument("--raw-samples", type=_non_negative_int, default=200)
+            verify_common(q)
+        q = fam.add_parser("caterpillars")
+        if named("caterpillars"):
+            q.add_argument("--max-spine", type=_non_negative_int, default=3)
+            q.add_argument("--max-leaves", type=_non_negative_int, default=3)
+            q.add_argument("--max-bound", type=_non_negative_int, default=3)
+            q.add_argument("--min-leaves", type=_non_negative_int, default=1)
+            verify_common(q)
+        q = fam.add_parser("cycles")
+        if named("cycles"):
+            q.add_argument("--max-n", type=partial(_int_at_least, 3), default=7)
+            q.add_argument("--max-bound", type=_non_negative_int, default=3)
+            q.add_argument("--last-bounds", type=_non_negative_list, default="0,2,3")
+            verify_common(q)
+        q = fam.add_parser("matching")
+        if named("matching"):
+            q.add_argument("--max-spine", type=_non_negative_int, default=3)
+            q.add_argument("--max-leaves", type=_non_negative_int, default=3)
+            q.add_argument("--k", type=_non_negative_list, default="1,2,3")
+            verify_common(q)
+        q = fam.add_parser("random")
+        if named("random"):
+            q.add_argument("--count", type=_non_negative_int, default=100)
+            q.add_argument("--max-edges", type=_non_negative_int, default=9)
+            q.add_argument("--max-bound", type=_non_negative_int, default=3)
+            verify_common(q)
+        p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except BoundedDegreeError as exc:

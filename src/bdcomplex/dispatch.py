@@ -19,20 +19,19 @@ from typing import NamedTuple, Optional, Sequence
 
 from .caterpillar import caterpillar_closed_form, cycle_reduce
 from .complexes import DEFAULT_FACE_CAP
-from .errors import MethodMismatchError, NotAForestError, ParseError
+from .errors import MethodMismatchError, ParseError
 from .graph import (
     CaterpillarSpec,
     DegreeBounds,
     Graph,
     Record,
-    forest_plan,
     gen_caterpillar,
     gen_cycle,
     make_graph,
     validate_bounds,
 )
 from .homology import HomologyProfile, graph_homology, wedge_profile
-from .recursion import SphereCounts, plan_counts
+from .recursion import SphereCounts, forest_counts
 
 METHODS = ("auto", "recursion", "closed-form", "homology")
 
@@ -158,7 +157,10 @@ def compute_instance(
 
     `auto` prefers the closed form, then the forest recursion, then the
     recursion on the forest that `cycle_reduce` cuts a graph with cycles
-    into, and falls back to the homology oracle.
+    into, and falls back to the homology oracle.  Both forest routes go
+    through `forest_counts`: a forest with an edge whose ends have bounds
+    at least their degrees is a cone, since that edge joins every face, and
+    answers {} with no plan and no fold.
     """
     if method not in METHODS:
         raise MethodMismatchError(f"unknown method {method!r}")
@@ -180,22 +182,18 @@ def compute_instance(
         profile, _ = graph_homology(instance.graph, instance.bounds, face_cap)
         return done("homology", wedge_profile(profile), profile)
 
-    # recursion, or auto: one plan per instance, whose edge count is the forest test
-    try:
-        plan = forest_plan(instance.graph)
-    except NotAForestError:
-        if method == "recursion":
-            raise MethodMismatchError("recursion applies to forests only") from None
-    else:
-        return done("recursion", plan_counts(plan, instance.bounds))
+    # recursion, or auto: a cone answers {} with no plan, any other forest is folded
+    counts = forest_counts(instance.graph, instance.bounds)
+    if counts is not None:
+        return done("recursion", counts)
+    if method == "recursion":
+        raise MethodMismatchError("recursion applies to forests only")
     reduced = cycle_reduce(instance.graph, instance.bounds)
     if reduced is not None:
-        try:
-            plan = forest_plan(reduced[0])
-        except NotAForestError:
-            pass  # the split kept a cycle: the oracle answers
-        else:
-            return done("cycle-reduce", plan_counts(plan, reduced[1]))
+        counts = forest_counts(reduced[0], reduced[1])
+        if counts is not None:
+            return done("cycle-reduce", counts)
+        # else the split kept a cycle: the oracle answers
     profile, _ = graph_homology(instance.graph, instance.bounds, face_cap)
     return done("homology", wedge_profile(profile), profile)
 

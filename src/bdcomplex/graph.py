@@ -9,7 +9,7 @@ vertex.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     DuplicateEdgeError,
@@ -182,20 +182,16 @@ def gen_caterpillar(spec: CaterpillarSpec) -> tuple[Graph, DegreeBounds]:
 
 
 def is_forest(graph: Graph) -> bool:
-    """True iff the graph is acyclic."""
+    """True iff the graph is acyclic: union-find with path halving, inlined."""
     parent = list(range(graph.num_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for u, v in graph.edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
             return False
-        parent[ru] = rv
+        parent[u] = v
     return True
 
 
@@ -349,8 +345,15 @@ def forest_plan(graph: Graph, not_forest: str = "expected a forest") -> ForestPl
     Each tree is walked breadth-first from its smallest vertex; reversed,
     that order puts children before parents.
     """
+    plan = _forest_plan(graph, graph.adjacency())
+    if plan is None:
+        raise NotAForestError(not_forest)
+    return plan
+
+
+def _forest_plan(graph: Graph, adj: list[list[int]]) -> Optional[ForestPlan]:
+    """`forest_plan` on the graph's adjacency lists `adj`; None on a cycle."""
     n = graph.num_vertices
-    adj = graph.adjacency()
     parent = [-1] * n
     seen = [False] * n
     orders = []
@@ -367,12 +370,29 @@ def forest_plan(graph: Graph, not_forest: str = "expected a forest") -> ForestPl
                     order.append(w)
         orders.append(order)
     if graph.num_edges != n - len(orders):
-        raise NotAForestError(not_forest)
+        return None
     return ForestPlan(
         graph,
         tuple(map(len, adj)),
         tuple((v, parent[v]) for order in orders for v in reversed(order)),
     )
+
+
+def is_cone(graph: Graph, bounds: Sequence[int], adj: Optional[list[list[int]]] = None) -> bool:
+    """True iff some edge {u, v} has bounds[u] >= deg u and bounds[v] >= deg v.
+
+    Then the complex is a cone on that edge, so contractible: adding the
+    edge to a face raises the degrees of u and v to at most their degrees
+    in the graph, so the union is a face too.  `adj`, the graph's
+    adjacency lists, gives the degrees; they are built when it is None.
+    """
+    if adj is None:
+        adj = graph.adjacency()
+    free = [b >= len(a) for b, a in zip(bounds, adj)]
+    for u, v in graph.edges:
+        if free[u] and free[v]:
+            return True
+    return False
 
 
 def canonical_code(graph: Graph, bounds: Sequence[int]) -> CanonicalKey:

@@ -42,7 +42,7 @@ from operator import or_
 from typing import Collection, Optional, Sequence
 
 from .complexes import DEFAULT_FACE_CAP, SimplicialComplex, _checked, _edge_counts, excised_cells
-from .graph import Graph, Record
+from .graph import Graph, Record, is_cone
 
 
 class IntegerMatrix:
@@ -469,10 +469,16 @@ def graph_homology(
     graph of m edges has at most 2^m faces, so the face count of
     `_edge_counts` runs first, to refuse, only where m >= the bit length of
     the cap; otherwise it runs only inside `excised_cells`, before a walk.
+    Where it runs first, a cone goes before it: an edge whose ends have
+    bounds at least their degrees joins every face (`is_cone`), so K is
+    contractible, at any number of faces.  With fewer edges, the tree finds
+    the cone at its root.
     """
     bounds = _checked(graph, bounds, face_cap)
     counts = None
     if graph.num_edges >= face_cap.bit_length():  # below, 2^m <= face_cap
+        if is_cone(graph, bounds):
+            return HomologyProfile(), 0  # contractible, at any number of faces
         counts = _edge_counts(graph, bounds, face_cap)
     crit = _critical_cells(graph, bounds)
     euler = sum(c if k % 2 else -c for k, c in enumerate(crit))

@@ -28,9 +28,17 @@ children.  Folding a child c in state (j_c, r_c), with k = bound(c) - j_c:
 A root closes with its own star, star(bound - j, r).  Trees combine with
 the join convolution.
 
-The walk depends only on the forest: `sphere_counts` builds the forest's
-`ForestPlan` (see graph.py) and applies it with `plan_counts`, and a sweep
-builds one plan per forest for its whole bound grid.  Every weight is a
+Before any of that, `forest_counts` asks whether the complex is a cone.
+If some edge e = {u, v} has bound(u) >= deg u and bound(v) >= deg v, then
+e joins every face: adding it raises the degrees of u and v to at most
+their degrees in the graph.  So the complex is a cone with apex e, and
+contractible, and the forest answers {} with no plan and no fold (the
+cone step of Jonsson, Simplicial Complexes of Graphs, LNM 1928).
+
+The walk depends only on the forest: `forest_counts` builds the forest's
+`ForestPlan` (see graph.py) and applies it with `plan_counts`.  A sweep
+builds one plan per forest for its whole bound grid and folds every bound
+vector, cones too, so that it checks the fold itself.  Every weight is a
 positive count (products of positives, and C(r-1, k) >= 1 for k < r), so a
 fold adds each contribution into its output state in place, with the star's
 shift and multiplicity applied as it adds, and never normalizes.
@@ -48,7 +56,15 @@ from math import comb
 from typing import Optional, Sequence
 
 from .errors import NotAForestError
-from .graph import DegreeBounds, ForestPlan, Graph, forest_plan, is_forest, validate_bounds
+from .graph import (
+    DegreeBounds,
+    ForestPlan,
+    Graph,
+    _forest_plan,
+    is_cone,
+    is_forest,
+    validate_bounds,
+)
 
 SphereCounts = dict[int, int]
 
@@ -177,6 +193,20 @@ def plan_counts(plan: ForestPlan, bounds: Sequence[int]) -> SphereCounts:
     return {-1: 1} if result is None else result
 
 
+def forest_counts(graph: Graph, bounds: Sequence[int]) -> Optional[SphereCounts]:
+    """Sphere multiplicities of a forest under valid `bounds`; None on a cycle.
+
+    A cone (see `is_cone`) is contractible: {} with no plan and no fold,
+    once `is_forest` has told a cone with a cycle apart.  Any other forest
+    is planned on the adjacency lists the cone test read, and folded.
+    """
+    adj = graph.adjacency()
+    if is_cone(graph, bounds, adj):
+        return {} if is_forest(graph) else None
+    plan = _forest_plan(graph, adj)
+    return None if plan is None else plan_counts(plan, bounds)
+
+
 def sphere_counts(
     graph: Graph,
     bounds: Sequence[int],
@@ -185,9 +215,14 @@ def sphere_counts(
 ) -> SphereCounts:
     """Sphere multiplicities of the bounded degree complex of a forest.
 
-    Builds the forest's plan and applies it: one iterative post-order pass
-    over each tree, with no Python recursion and no memo.  `cache` is
-    accepted for compatibility and unused.
+    By `forest_counts`: {} for a cone, where an edge whose ends have bounds
+    at least their degrees joins every face, since adding it keeps each
+    degree within its bound; else the forest's plan applied, one iterative
+    post-order pass over each tree, with no Python recursion and no memo.
+    `cache` is accepted and unused: perfbench/spans.py hands one to every
+    call it traces.
     """
-    bounds = validate_bounds(graph, bounds)
-    return plan_counts(forest_plan(graph, "sphere counts require a forest"), bounds)
+    counts = forest_counts(graph, validate_bounds(graph, bounds))
+    if counts is None:
+        raise NotAForestError("sphere counts require a forest")
+    return counts

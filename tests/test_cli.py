@@ -150,6 +150,19 @@ class TestCompute:
         assert result["homology"] == {"betti": {"-1": 1}, "torsion": {}}
         assert result["spheres"] == {"-1": 1} and result["contractible"] is False
 
+    @pytest.mark.parametrize("method", ["auto", "homology"])
+    def test_over_cap_cone_is_contractible(self, capsys, tmp_path, method):
+        # the 5 x 6 grid, every bound 2, over the cap, and a disjoint edge
+        # with bounds (1, 1) that joins every face
+        edges = [[v, w] for v in range(30) for w in (v + 1, v + 6) if w < 30 and (w == v + 6 or w % 6)]
+        obj = {"n": 32, "edges": edges + [[30, 31]], "lambda": [2] * 30 + [1, 1]}
+        code, out, _ = run(capsys, ["compute", write_instance(tmp_path, obj), "--method", method])
+        assert code == 0
+        assert json.loads(out) == {
+            "instance": obj, "method": "homology", "contractible": True, "spheres": {},
+            "homology": {"betti": {}, "torsion": {}},
+        }
+
     def test_over_cap_cycle_is_an_error_object_before_the_cell_walk(self):
         # all-ones C60 has about 3.5e12 faces; the face counts refuse it
         # before a face is built, so the cell walk, made to fail here, is
@@ -692,3 +705,47 @@ class TestOptionRanges:
         assert code == 0 and json.loads(out)["ok"] is True
         code, out, _ = run(capsys, ["verify", "matching", "--max-spine", "1", "--k", "0"])
         assert code == 0 and json.loads(out)["ok"] is True
+
+
+class TestParser:
+    """`main` builds the parsers of the subcommands its command line names
+    only; help, usage errors and parsed values match the full build."""
+
+    ARGVS = [
+        [], ["-h"], ["--help"], ["frobnicate"], ["--bogus"], ["--bogus", "compute"],
+        ["compute", "--help"], ["compute", "--bogus"], ["compute", "a", "b"],
+        ["compute", "--method", "nope"], ["compute", "x.json", "--method", "homology", "--timings"],
+        ["batch", "--help"], ["batch", "--jobs", "x"], ["batch", "-", "--jobs", "2", "--output", "table"],
+        ["generate"], ["generate", "--help"], ["generate", "star"], ["generate", "path"],
+        ["generate", "path", "--help"], ["generate", "caterpillar", "--help"],
+        ["generate", "cycle", "--help"], ["generate", "path", "--n", "3", "--lambda", "1,1,1"],
+        ["verify"], ["verify", "--help"], ["verify", "trees"], ["verify", "cycles", "--max-n", "4"],
+        ["compute", "--help", "verify"], ["verify", "forests", "compute"],
+    ] + [
+        ["verify", family, *rest]
+        for family in ("forests", "caterpillars", "cycles", "matching", "random")
+        for rest in (["--help"], ["--jobs", "0"], ["--bogus"], [])
+    ]
+
+    @staticmethod
+    def _outcome(parser, argv, capsys):
+        try:
+            values = vars(parser.parse_args(argv))
+            code = None
+        except SystemExit as exc:
+            values, code = None, exc.code
+        out, err = capsys.readouterr()
+        return code, out, err, values
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_named_build_reads_as_the_full_build(self, capsys, argv):
+        full = self._outcome(cli.build_parser(), argv, capsys)
+        assert self._outcome(cli.build_parser(argv), argv, capsys) == full
+        assert full[1] or full[2] or full[3]  # the case shows something
+
+    def test_unnamed_subcommands_get_no_arguments(self, capsys):
+        parser = cli.build_parser(["compute"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(["verify", "forests"])  # verify was built without its families
+        assert "unrecognized arguments: forests" in capsys.readouterr().err
+        assert vars(parser.parse_args(["compute"]))["method"] == "auto"

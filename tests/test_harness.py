@@ -12,8 +12,10 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bdcomplex import cli, dispatch, harness
+from bdcomplex import cli, dispatch, harness, recursion
 from bdcomplex.complexes import DEFAULT_FACE_CAP, SimplicialComplex
 from bdcomplex.errors import MethodMismatchError
 from bdcomplex.graph import (
@@ -25,6 +27,10 @@ from bdcomplex.graph import (
     gen_caterpillar,
     gen_cycle,
     gen_path,
+    is_cone,
+    is_forest,
+    make_graph,
+    nonisomorphic_forests,
 )
 from bdcomplex.harness import (
     POOL_READ_AHEAD,
@@ -38,7 +44,10 @@ from bdcomplex.harness import (
     sweep_matching_caterpillars,
     sweep_random_forests,
 )
-from bdcomplex.homology import HomologyProfile
+from bdcomplex.homology import HomologyProfile, graph_homology, wedge_profile
+from bdcomplex.recursion import plan_counts
+
+from oracles import graph_keeping_a_cycle, graph_with_cycles
 
 
 def _square(x):
@@ -358,10 +367,10 @@ class TestBenchmarkBindings:
 
 
 class TestComputeInstance:
-    """The forest route builds one plan per instance and applies it."""
+    """The forest route builds one plan per instance, none for a cone, and applies it."""
 
     def _count_plans(self, monkeypatch):
-        real = dispatch.forest_plan
+        real = recursion._forest_plan
         plans = []
 
         def counting(graph, *args):
@@ -371,7 +380,7 @@ class TestComputeInstance:
         def refuse(*args, **kwargs):
             raise AssertionError("sphere_counts plans the forest again")
 
-        monkeypatch.setattr(dispatch, "forest_plan", counting)
+        monkeypatch.setattr(recursion, "_forest_plan", counting)
         # dispatch binds no sphere_counts today; the guard holds if it ever does
         monkeypatch.setattr(dispatch, "sphere_counts", refuse, raising=False)
         return plans
@@ -395,6 +404,60 @@ class TestComputeInstance:
         # the cycle is tried as a forest twice; the forest it splits into is planned once
         split = harness.cycle_reduce(cycle.graph, cycle.bounds)[0]
         assert plans == [cycle.graph] * 2 + [split]
+
+    def test_a_cone_is_answered_with_no_plan(self, monkeypatch):
+        plans = self._count_plans(monkeypatch)
+        # edge {1, 2}: both ends have bounds at least their degrees
+        forest = harness.parse_instance({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]], "lambda": [1, 2, 2, 0]})
+        for method in ("auto", "recursion"):
+            res = harness.compute_instance(forest, method)
+            assert (res.method_used, res.spheres, res.contractible) == ("recursion", {}, True)
+        # a cone with a cycle is still no forest; the split keeps the cone edge
+        cycle = harness.parse_instance({"cycle": {"n": 4, "lambda": [2, 2, 1, 1]}})
+        with pytest.raises(MethodMismatchError, match="recursion applies to forests only"):
+            harness.compute_instance(cycle, "recursion")
+        res = harness.compute_instance(cycle)
+        assert (res.method_used, res.spheres) == ("cycle-reduce", {})
+        assert plans == []
+
+    def test_small_forests_answer_as_their_fold(self):
+        """Every forest of at most 5 edges and 3 trees, bounds 0..min(deg + 1, 3)."""
+        count = cones = 0
+        for forest in nonisomorphic_forests(5):
+            if forest.num_vertices - forest.num_edges > 3:
+                continue
+            plan = forest_plan(forest)
+            grid = [range(min(d + 1, 3) + 1) for d in forest.degrees()]
+            for b in itertools.product(*grid):
+                res = harness.compute_instance(Instance({}, given=(forest, b)))
+                assert (res.method_used, res.spheres) == ("recursion", plan_counts(plan, b)), (forest, b)
+                count += 1
+                cones += is_cone(forest, b)
+        assert (count, cones) == (71704, 52167)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_a_cone_with_cycles_keeps_its_route(self, data):
+        if data.draw(st.booleans()):
+            # some edge raised to a cone edge: its ends split, mostly to a forest
+            graph, bounds = graph_with_cycles(data)
+            u, v = data.draw(st.sampled_from(graph.edges))
+            deg = graph.degrees()
+            bounds = list(bounds)
+            bounds[u], bounds[v] = max(bounds[u], deg[u]), max(bounds[v], deg[v])
+        else:
+            # a disjoint cone edge next to a cycle that the split keeps: the oracle
+            graph, bounds = graph_keeping_a_cycle(data)
+            n = graph.num_vertices
+            graph = make_graph(n + 2, graph.edges + ((n, n + 1),))
+            bounds = list(bounds) + [1, 1]
+        assert is_cone(graph, bounds) and not is_forest(graph)
+        reduced = harness.cycle_reduce(graph, bounds)
+        route = "cycle-reduce" if reduced is not None and is_forest(reduced[0]) else "homology"
+        res = harness.compute_instance(Instance({}, given=(graph, tuple(bounds))))
+        profile, euler = graph_homology(graph, bounds)
+        assert (res.method_used, res.spheres) == (route, wedge_profile(profile)) == (route, {})
+        assert euler == 0
 
 
 class TestRecords:

@@ -24,6 +24,7 @@ from bdcomplex.graph import (
     CaterpillarSpec,
     gen_caterpillar,
     gen_cycle,
+    is_cone,
     make_graph,
     random_forest,
 )
@@ -510,6 +511,38 @@ class TestGraphOracle:
         # all-ones C33 has 7,881,195 faces and C20 15,126, the empty face left out
         with pytest.raises(FaceCapExceededError, match=f"^more than {cap} faces in bounded degree complex$"):
             graph_homology(gen_cycle(n), (1,) * n, cap)
+
+
+    @staticmethod
+    def grid(rows: int, cols: int):
+        """The rows x cols grid graph, vertex r * cols + c at row r and column c.
+
+        Edges are listed vertex by vertex, which keeps the face count's
+        frontier to about one row: with every row's edges first, refusing
+        the 5 x 6 grid takes seconds and half a gigabyte.
+        """
+        edges = []
+        for v in range(rows * cols):
+            if (v + 1) % cols:
+                edges.append((v, v + 1))
+            if v + cols < rows * cols:
+                edges.append((v, v + cols))
+        return make_graph(rows * cols, edges)
+
+    def test_over_cap_cone_is_contractible(self, monkeypatch):
+        # the 5 x 6 grid with every bound 2 is over the cap; a disjoint edge
+        # with bounds (1, 1) joins every face, so the complex is a cone
+        grid = self.grid(5, 6)
+        with pytest.raises(FaceCapExceededError):
+            graph_homology(grid, (2,) * 30)
+        g = make_graph(32, grid.edges + ((30, 31),))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("faces counted for a cone")
+
+        monkeypatch.setattr(homology, "_edge_counts", refuse)
+        assert g.num_edges == 50 and is_cone(g, (2,) * 30 + (1, 1))
+        assert graph_homology(g, (2,) * 30 + (1, 1)) == (HomologyProfile(), 0)
 
 
 def assert_tree_matching(g, b, k):

@@ -89,16 +89,19 @@ def _emit(obj: dict, output: str):
 # ---------------------------------------------------------------------------
 
 
-def _read_instance_text(path: str) -> str:
+def _read_instance_bytes(path: str) -> bytes:
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
+        return sys.stdin.buffer.read()
+    with open(path, "rb") as fh:
         return fh.read()
 
 
-def _parse_json_instance(text: str) -> Instance:
+def _parse_json_instance(data: bytes) -> Instance:
+    """The instance that UTF-8 JSON bytes give; bytes that are not UTF-8 are a ParseError."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     return parse_instance(obj)
@@ -115,7 +118,7 @@ def _error_json(exc: Exception) -> dict:
 
 def cmd_compute(args) -> int:
     try:
-        instance = _parse_json_instance(_read_instance_text(args.instance))
+        instance = _parse_json_instance(_read_instance_bytes(args.instance))
         res = compute_instance(instance, args.method, args.face_cap)
     except OSError:
         raise  # an unreadable instance file is a usage error: exit 2 in main
@@ -139,7 +142,7 @@ def _batch_line(method: str, face_cap: int, task: tuple[int, bytes]) -> dict:
     """
     lineno, line = task
     try:
-        instance = _parse_json_instance(line.decode("utf-8"))
+        instance = _parse_json_instance(line)
         res = compute_instance(instance, method, face_cap)
         return result_json(instance, res, False)
     except Exception as exc:  # noqa: BLE001 - one line's fault must not stop the batch
@@ -153,7 +156,7 @@ def _batch_chunk(method: str, face_cap: int, chunk: list[tuple[int, bytes]]) -> 
 
 def cmd_batch(args) -> int:
     with open(args.file, "rb") if args.file != "-" else nullcontext(sys.stdin.buffer) as fh:
-        # read lazily, one line at a time; each line is decoded on its own in _batch_line
+        # read lazily, one line at a time; each line is decoded on its own in _parse_json_instance
         tasks = ((i, line) for i, line in enumerate(fh, start=1) if line.strip())
         if args.jobs > 1:
             # a pool task per line costs more in round trips than most lines take

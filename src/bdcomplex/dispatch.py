@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import os
 import time
+from collections import deque
 from functools import cached_property
+from itertools import islice
 from typing import NamedTuple, Optional, Sequence
 
 from .caterpillar import caterpillar_closed_form, cycle_reduce
@@ -214,34 +216,24 @@ def pool_map(fn, tasks, jobs: int):
     """Yield `fn` over `tasks` in task order, from a pool of min(jobs, usable_cpus()) processes.
 
     Where that is at most 1, the tasks run in this process, with no pool.
-    `tasks` is read lazily: with a pool, at most POOL_READ_AHEAD tasks per
-    worker are taken from it beyond the results yielded so far.
+    `tasks` is read lazily, and only in the caller's thread: with a pool,
+    POOL_READ_AHEAD tasks per worker go to the pool before the first result
+    is waited for, and one more each time the caller comes back for the
+    next result, so after r results taken, POOL_READ_AHEAD * workers + r - 1
+    tasks have been read.  A task's exception is raised here, after the
+    results before it; the pool ends with the loop, or when the caller
+    stops early.
     """
     workers = min(jobs, usable_cpus())
     if workers <= 1:
         yield from map(fn, tasks)
         return
-    import threading  # only here, with the pool: keeps both out of every start-up
-    from multiprocessing import Pool
+    from multiprocessing import Pool  # only here, with the pool: keeps it out of every start-up
 
-    # Pool.imap drains `tasks` from a thread of its own; the gate holds that
-    # thread back, and `stop` lets it go when the caller stops early, since
-    # the pool's exit waits for it.
-    gate = threading.Semaphore(POOL_READ_AHEAD * workers - 1)
-    stop = threading.Event()
-
-    def admitted():
-        for task in tasks:
-            yield task
-            gate.acquire()  # a permit to read the next task
-            if stop.is_set():
-                return
-
+    tasks = iter(tasks)
     with Pool(processes=workers) as pool:
-        try:
-            for result in pool.imap(fn, admitted()):
-                gate.release()
-                yield result
-        finally:
-            stop.set()
-            gate.release()
+        pending = deque(pool.apply_async(fn, (t,)) for t in islice(tasks, POOL_READ_AHEAD * workers))
+        while pending:
+            yield pending.popleft().get()
+            for t in islice(tasks, 1):  # the caller came back for a result: read one more task
+                pending.append(pool.apply_async(fn, (t,)))

@@ -1,8 +1,9 @@
 """Batch verification sweeps: every route checked against the homology oracle.
 
 Only `bdcomplex verify` runs this module; the instance model, the method
-dispatch and the pool helper live in `dispatch`, whose names are imported
-back here for the callers that reach them as `harness.*`.
+dispatch and the pool helper live in `dispatch`.  Of those, the sweeps use
+`instance_json` and `pool_map`, and `parse_instance` and `compute_instance`
+are imported back for the benchmark, which reaches them as `harness.*`.
 
 Every sweep runs one pipeline (`_sweep`) on the shards its generator
 yields: lists of (graph, bounds, extra) instances that hold whole classes.
@@ -34,19 +35,9 @@ from typing import Sequence
 
 from .caterpillar import caterpillar_closed_form, cycle_reduce
 from .complexes import DEFAULT_FACE_CAP, build_complex
-# the sweeps use instance_json and pool_map; the other names are imported
-# back for the benchmark and the tests, which reach them as `harness.*`
-from .dispatch import (  # noqa: F401
-    METHODS,
-    POOL_READ_AHEAD,
-    ComputeResult,
-    Instance,
-    compute_instance,
-    instance_json,
-    parse_instance,
-    pool_map,
-    usable_cpus,
-)
+# the sweeps use instance_json and pool_map; the benchmark reads the other
+# two as `harness.*`
+from .dispatch import compute_instance, instance_json, parse_instance, pool_map  # noqa: F401
 from .graph import (
     CaterpillarSpec,
     DegreeBounds,

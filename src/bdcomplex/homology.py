@@ -29,16 +29,14 @@ shows to be redundant; the other ranks follow from the Betti numbers,
 zero where a dimension has no critical cell and, at the top of each run
 of dimensions that hold some, given by the run's Euler characteristic.
 `reduced_homology` does the same excision on a complex given by its
-faces, with the counts of element matchings on the cells.
+faces, with every cell critical, so it builds and reduces every boundary.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from functools import reduce
-from itertools import chain, combinations
-from operator import or_
+from itertools import combinations
 from typing import Collection, Optional, Sequence
 
 from .complexes import DEFAULT_FACE_CAP, SimplicialComplex, _checked, _edge_counts, excised_cells
@@ -273,31 +271,7 @@ class HomologyProfile(Record):
         return not self.torsion
 
 
-def _element_matching(cells: SimplicialComplex) -> list[int]:
-    """The number of critical cells per dimension of a run of element matchings on the cells.
-
-    Jonsson's element matchings on the cells' bitmasks: for each x in index
-    order that lies in some cell (the excised edge never does), an unpaired
-    cell f without x pairs with f + x if that is unpaired too, until no two
-    unpaired cells lie in adjacent dimensions.
-    """
-    layers = cells.faces_by_dim
-    unmatched = [set(layer) for layer in layers] + [set()]
-    steps = list(zip(unmatched, unmatched[1:]))
-    rest = reduce(or_, chain.from_iterable(layers), 0)  # the elements in some cell
-    while rest and any(low and high for low, high in steps):
-        x = rest & -rest
-        rest ^= x
-        for low, high in steps:
-            pairs = [f for f in low if not f & x and f | x in high]
-            low.difference_update(pairs)
-            high.difference_update(f | x for f in pairs)
-    return [*map(len, unmatched)]
-
-
-def relative_homology(
-    cells: SimplicialComplex, crit: Optional[Sequence[int]] = None
-) -> HomologyProfile:
+def relative_homology(cells: SimplicialComplex, crit: Sequence[int]) -> HomologyProfile:
     """Homology of a relative complex (K, L), given by its cells, with L acyclic.
 
     The cells are the faces of K not in L, and the empty face lies in L, so
@@ -311,9 +285,7 @@ def relative_homology(
     `crit[d]` is the number of critical d-cells of an acyclic matching
     whose Morse complex (Forman, Adv. Math. 1998) has this homology: on
     these cells or on K, where the critical empty face is left out and
-    every other count moves down one dimension.  By default it is the
-    count of a run of element matchings on the cells (Jonsson, Simplicial
-    Complexes of Graphs, LNM 1928, 2008).  The Morse complex has no
+    every other count moves down one dimension.  The Morse complex has no
     boundary out of or into a dimension without critical cells, so it
     splits into runs of dimensions that all hold some.  Hence the rule: the
     boundary d is built and reduced only where crit[d] and crit[d-1] are
@@ -332,8 +304,6 @@ def relative_homology(
     face is counted here: on a graph the face count runs in `graph_homology`
     or `excised_cells`, before the cells are walked.
     """
-    if crit is None:
-        crit = _element_matching(cells)
     top = max(cells.dim, len(crit) - 1)
     crit = [*crit] + [0] * (top + 2 - len(crit))
     ranks: dict[int, int] = {}  # rank of each relative boundary d that is built
@@ -493,9 +463,11 @@ def reduced_homology(k: SimplicialComplex) -> HomologyProfile:
 
     The excision of `graph_homology` on a face list: for the element e in
     the most faces (the smallest on ties), the cells are the faces whose
-    union with e is not a face, and `relative_homology` reduces them by the
-    counts of its default, a run of element matchings on the cells.  No
-    route calls it; it serves complexes that no graph gives, such as RP^2.
+    union with e is not a face, and `relative_homology` reduces them with
+    every cell critical: the Morse complex of the empty matching is the
+    cell complex itself, so every boundary is built and reduced, with
+    clearing.  No route calls it; it serves complexes that no graph gives,
+    such as RP^2.
     """
     if k.dim < 0:
         return HomologyProfile({-1: 1}, {})
@@ -505,7 +477,7 @@ def reduced_homology(k: SimplicialComplex) -> HomologyProfile:
     cells = tuple(
         tuple(f for f in layer if not f & e and f | e not in faces) for layer in k.faces_by_dim
     )
-    return relative_homology(SimplicialComplex(k.ground_set, cells))
+    return relative_homology(SimplicialComplex(k.ground_set, cells), [*map(len, cells)])
 
 
 def wedge_profile(h: HomologyProfile) -> Optional[dict[int, int]]:

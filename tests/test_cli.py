@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import bdcomplex
-from bdcomplex import cli
+from bdcomplex import cli, dispatch
 from bdcomplex.cli import BATCH_CHUNK, main
-from bdcomplex.harness import POOL_READ_AHEAD
+from bdcomplex.dispatch import POOL_READ_AHEAD
 
 
 def run(capsys, argv):
@@ -317,7 +317,8 @@ class TestCompute:
         assert obj["homology"]["torsion"] == {"1": [3]}
 
     def test_stdin(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(TWO_SPINE)))
+        # compute reads stdin as bytes, so stdin is a text wrapper over bytes
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(json.dumps(TWO_SPINE).encode())))
         code, out, _ = run(capsys, ["compute"])
         assert code == 0 and json.loads(out)["spheres"] == {"1": 1}
 
@@ -407,9 +408,10 @@ class TestCompute:
     def test_undecodable_file_is_an_error_object(self, capsys, tmp_path):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"n": 1, "edges": [], "lambda": [1]}\xff')
-        code, out, _ = run(capsys, ["compute", str(path)])
+        code, out, err = run(capsys, ["compute", str(path)])
         assert code == 1
-        assert json.loads(out)["error"]["type"] == "UnicodeDecodeError"
+        assert json.loads(out)["error"]["type"] == "ParseError"
+        assert "Traceback" not in err
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, ["compute", str(tmp_path / "absent.json")])
@@ -518,10 +520,11 @@ class TestBatch:
         path = tmp_path / "bad.jsonl"
         path.write_bytes(b"\n".join(lines) + b"\n")
         for jobs in ("1", "2"):
-            code, out, _ = run(capsys, ["batch", str(path), "--jobs", jobs])
+            code, out, err = run(capsys, ["batch", str(path), "--jobs", jobs])
             assert code == 1
             objs = [json.loads(line) for line in out.splitlines()]
-            assert objs[1]["error"]["type"] == "UnicodeDecodeError" and objs[1]["line"] == 2
+            assert objs[1]["error"]["type"] == "ParseError" and objs[1]["line"] == 2
+            assert "Traceback" not in err
             assert objs[0]["method"] == "recursion" and objs[2]["method"] == "cycle-reduce"
 
     def traced_batch(self, capsys, monkeypatch, lines, argv):
@@ -587,6 +590,15 @@ class TestVerifyCommand:
         code1, out1, _ = run(capsys, argv)
         code2, out2, _ = run(capsys, argv)
         assert code1 == code2 == 0 and out1 == out2
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_an_error_in_a_task_ends_the_sweep(self, capsys, monkeypatch, jobs):
+        # at jobs 2 the face cap is exceeded inside a pool worker
+        monkeypatch.setattr(dispatch, "usable_cpus", lambda: 2)
+        argv = ["verify", "cycles", "--max-n", "5", "--max-bound", "2", "--face-cap", "3"]
+        code, _, err = run(capsys, argv + ["--jobs", jobs])
+        assert code == 1
+        assert err == "error: more than 3 faces in bounded degree complex\n"
 
     def test_cycles_sweep(self, capsys):
         code, out, _ = run(

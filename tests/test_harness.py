@@ -6,8 +6,6 @@ import importlib.util
 import itertools
 import multiprocessing
 import pickle
-import threading
-import time
 from functools import partial
 from pathlib import Path
 
@@ -17,6 +15,7 @@ from hypothesis import strategies as st
 
 from bdcomplex import cli, dispatch, harness, recursion
 from bdcomplex.complexes import DEFAULT_FACE_CAP, SimplicialComplex
+from bdcomplex.dispatch import POOL_READ_AHEAD, ComputeResult, Instance, pool_map
 from bdcomplex.errors import MethodMismatchError
 from bdcomplex.graph import (
     CaterpillarSpec,
@@ -33,11 +32,7 @@ from bdcomplex.graph import (
     nonisomorphic_forests,
 )
 from bdcomplex.harness import (
-    POOL_READ_AHEAD,
-    ComputeResult,
-    Instance,
     VerifyReport,
-    pool_map,
     sweep_caterpillars,
     sweep_cycles,
     sweep_forests,
@@ -51,6 +46,12 @@ from oracles import graph_keeping_a_cycle, graph_with_cycles
 
 
 def _square(x):
+    return x * x
+
+
+def _square_below_five(x):
+    if x == 5:
+        raise ValueError("task 5")
     return x * x
 
 
@@ -75,29 +76,27 @@ class TestPoolMap:
                 read.append(x)
                 yield x
 
-        ahead = POOL_READ_AHEAD * 2
+        results = pool_map(_square, tasks(), 2)
+        taken = [next(results) for _ in range(3)]
+        results.close()
+        assert taken == [0, 1, 4] and len(read) == 2 + POOL_READ_AHEAD * 2
+        assert not multiprocessing.active_children()
+
+    def test_a_failing_task_raises_after_the_results_before_it(self, monkeypatch):
+        monkeypatch.setattr(dispatch, "usable_cpus", lambda: 2)
         taken = []
-
-        def take_three_and_stop():
-            results = pool_map(_square, tasks(), 2)
-            taken.extend(next(results) for _ in range(3))
-            deadline = time.monotonic() + 30
-            while len(read) < 3 + ahead and time.monotonic() < deadline:
-                time.sleep(0.01)
-            time.sleep(0.2)  # the pool's task thread now waits for a permit
-            results.close()
-
-        worker = threading.Thread(target=take_three_and_stop, daemon=True)
-        worker.start()
-        worker.join(timeout=60)
-        assert not worker.is_alive()
-        assert taken == [0, 1, 4] and len(read) == 3 + ahead
+        with pytest.raises(ValueError, match="task 5"):
+            for result in pool_map(_square_below_five, range(40), 2):
+                taken.append(result)
+        assert taken == [0, 1, 4, 9, 16]
+        assert not multiprocessing.active_children()
 
     def test_workers_are_capped_at_the_usable_cpus(self, monkeypatch):
-        started, read_ahead = [], []
+        started, submitted, waits = [], [], []
 
         class RecordingPool:
-            """Starts no worker: records its size and how far `imap` may read."""
+            """Starts no worker: records its size, the tasks submitted, and how
+            many were submitted at each wait for a result, which runs here."""
 
             def __init__(self, processes):
                 started.append(processes)
@@ -108,19 +107,22 @@ class TestPoolMap:
             def __exit__(self, *exc):
                 pass
 
-            def imap(self, fn, tasks):
-                read = []
-                reader = threading.Thread(target=read.extend, args=(tasks,), daemon=True)
-                reader.start()
-                reader.join(timeout=0.5)  # it now waits at the gate for a permit
-                read_ahead.append(len(read))
-                return iter(())
+            def apply_async(self, fn, args):
+                submitted.append((fn, args))
+                return self
+
+            def get(self):
+                waits.append(len(submitted))
+                fn, args = submitted[len(waits) - 1]
+                return fn(*args)
 
         monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         monkeypatch.setattr(dispatch, "usable_cpus", lambda: 2)
-        assert list(pool_map(_square, range(10_000), 5000)) == []
+        results = pool_map(_square, range(10_000), 5000)
+        assert next(results) == 0
+        results.close()
         assert started == [2]
-        assert read_ahead == [POOL_READ_AHEAD * 2]
+        assert waits == [POOL_READ_AHEAD * 2]
 
     def test_one_usable_cpu_runs_without_a_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):

@@ -17,7 +17,13 @@ from itertools import chain, islice
 from typing import Collection, Optional
 
 from .complexes import DEFAULT_FACE_CAP
-from .errors import BoundedDegreeError, InvalidParamsError, InvalidSizeError, ParseError
+from .errors import (
+    BoundedDegreeError,
+    InvalidParamsError,
+    InvalidSizeError,
+    ParseError,
+    ResultTooLargeError,
+)
 from .graph import CaterpillarSpec, gen_path
 from .dispatch import (
     METHODS,
@@ -75,13 +81,28 @@ def _result_table(obj: dict) -> str:
     return f"{obj['method']:<14} {shape}"
 
 
-def _emit(obj: dict, output: str):
-    """Write one result line, newline included, with a single write."""
-    if output == "table":
-        line = _result_table(obj) if "method" in obj else json.dumps(obj)
-    else:
-        line = json.dumps(obj, separators=(",", ":"))
-    sys.stdout.write(line + "\n")
+def _render(obj: dict, output: str) -> str:
+    """One output line, newline included: JSON, or a table row for a result.
+
+    CPython prints no integer of more than `sys.get_int_max_str_digits()`
+    digits, a bound on its quadratic conversion time; such a result is a
+    ResultTooLargeError, which the caller's `try` makes an error object.
+    """
+    try:
+        if output == "table":
+            line = _result_table(obj) if "method" in obj else json.dumps(obj)
+        else:
+            line = json.dumps(obj, separators=(",", ":"))
+    except ValueError as exc:
+        raise ResultTooLargeError(
+            f"an integer in the result has more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
+    return line + "\n"
+
+
+def _emit(line: str):
+    """Write one rendered line with a single write."""
+    sys.stdout.write(line)
 
 
 # ---------------------------------------------------------------------------
@@ -120,38 +141,40 @@ def cmd_compute(args) -> int:
     try:
         instance = _parse_json_instance(_read_instance_bytes(args.instance))
         res = compute_instance(instance, args.method, args.face_cap)
+        line = _render(result_json(instance, res, args.timings), args.output)
     except OSError:
         raise  # an unreadable instance file is a usage error: exit 2 in main
     except Exception as exc:  # noqa: BLE001 - any other failure is an error object
-        _emit(_error_json(exc), args.output)
+        _emit(_render(_error_json(exc), args.output))
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(result_json(instance, res, args.timings), args.output)
+    _emit(line)
     return 0
 
 
 BATCH_CHUNK = 32  # consecutive lines per pool task of `batch` at jobs > 1
 
 
-def _batch_line(method: str, face_cap: int, task: tuple[int, bytes]) -> dict:
-    """Result object for one input line, or an error object naming the line.
+def _batch_line(method: str, face_cap: int, output: str, task: tuple[int, bytes]) -> tuple[bool, str]:
+    """(failed, output line) for one input line: its result, or an error object naming the line.
 
-    Any exception becomes an error object, so one bad line (malformed input,
-    bytes that are not UTF-8, an exhausted face cap, even a RecursionError or
-    MemoryError) never costs the other lines their output.
+    Any exception, rendering included, becomes an error object, so one bad
+    line (malformed input, bytes that are not UTF-8, an exhausted face cap,
+    a result too long to print, even a RecursionError or MemoryError) never
+    costs the other lines their output.
     """
     lineno, line = task
     try:
         instance = _parse_json_instance(line)
         res = compute_instance(instance, method, face_cap)
-        return result_json(instance, res, False)
+        return False, _render(result_json(instance, res, False), output)
     except Exception as exc:  # noqa: BLE001 - one line's fault must not stop the batch
-        return {**_error_json(exc), "line": lineno}
+        return True, _render({**_error_json(exc), "line": lineno}, output)
 
 
-def _batch_chunk(method: str, face_cap: int, chunk: list[tuple[int, bytes]]) -> list[dict]:
+def _batch_chunk(method: str, face_cap: int, output: str, chunk: list[tuple[int, bytes]]) -> list:
     """`_batch_line` on each line of a pool task, in order."""
-    return [_batch_line(method, face_cap, task) for task in chunk]
+    return [_batch_line(method, face_cap, output, task) for task in chunk]
 
 
 def cmd_batch(args) -> int:
@@ -161,14 +184,14 @@ def cmd_batch(args) -> int:
         if args.jobs > 1:
             # a pool task per line costs more in round trips than most lines take
             chunks = iter(lambda: list(islice(tasks, BATCH_CHUNK)), [])
-            worker = partial(_batch_chunk, args.method, args.face_cap)
+            worker = partial(_batch_chunk, args.method, args.face_cap, args.output)
             results = chain.from_iterable(pool_map(worker, chunks, args.jobs))
         else:
-            results = map(partial(_batch_line, args.method, args.face_cap), tasks)
+            results = map(partial(_batch_line, args.method, args.face_cap, args.output), tasks)
         failed = False
-        for obj in results:
-            failed = failed or "error" in obj
-            _emit(obj, args.output)
+        for error, line in results:
+            failed = failed or error
+            _emit(line)
     return 1 if failed else 0
 
 

@@ -33,7 +33,7 @@ from .graph import (
     validate_bounds,
 )
 from .homology import HomologyProfile, graph_homology, wedge_profile
-from .recursion import SphereCounts, forest_counts
+from .recursion import SphereCounts, caterpillar_counts, forest_counts
 
 METHODS = ("auto", "recursion", "closed-form", "homology")
 
@@ -42,7 +42,7 @@ class Instance(Record):
     """A parsed problem instance: its source form, a graph and its bounds.
 
     A caterpillar shorthand holds only its spec until a route first reads
-    `graph` or `bounds`; the closed form never does.  A `Record`; its dict
+    `graph` or `bounds`; only the homology oracle does.  A `Record`; its dict
     source makes it unhashable, and the graph it builds is not pickled.
     """
 
@@ -159,10 +159,11 @@ def compute_instance(
 
     `auto` prefers the closed form, then the forest recursion, then the
     recursion on the forest that `cycle_reduce` cuts a graph with cycles
-    into, and falls back to the homology oracle.  Both forest routes go
-    through `forest_counts`: a forest with an edge whose ends have bounds
-    at least their degrees is a cone, since that edge joins every face, and
-    answers {} with no plan and no fold.
+    into, and falls back to the homology oracle.  The recursion folds a
+    caterpillar shorthand along its spine (`caterpillar_counts`), with no
+    leaf built.  Other forests go through `forest_counts`: a forest with an
+    edge whose ends have bounds at least their degrees is a cone, since that
+    edge joins every face, and answers {} with no plan and no fold.
     """
     if method not in METHODS:
         raise MethodMismatchError(f"unknown method {method!r}")
@@ -184,7 +185,10 @@ def compute_instance(
         profile, _ = graph_homology(instance.graph, instance.bounds, face_cap)
         return done("homology", wedge_profile(profile), profile)
 
-    # recursion, or auto: a cone answers {} with no plan, any other forest is folded
+    # recursion, or auto: a caterpillar shorthand folds its spine and builds no
+    # leaf; a cone answers {} with no plan, any other forest is folded
+    if spec is not None:
+        return done("recursion", caterpillar_counts(spec))
     counts = forest_counts(instance.graph, instance.bounds)
     if counts is not None:
         return done("recursion", counts)

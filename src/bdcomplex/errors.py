@@ -43,3 +43,7 @@ class MethodMismatchError(BoundedDegreeError, ValueError):
 
 class InvalidParamsError(BoundedDegreeError, ValueError):
     """Invalid parameters for an instance generator."""
+
+
+class ResultTooLargeError(BoundedDegreeError, ValueError):
+    """A result holds an integer with more digits than Python will print."""

@@ -17,11 +17,11 @@ instance's class by the plan's canonical code of its clamped bounds, runs
 the homology oracle once per class and the plan's forest recursion once per
 instance; the cycle task (`_cycle_task`) checks, face for face, the forest
 that `cycle_reduce` splits one cycle into.  A class's oracle is the
-(profile, euler) pair of `graph_homology`, shared by its instances.  As
-each task comes back the parent checks its instances (`_check`),
-duplicates included, in the order listed.  The clamping and relabeling
-equivalences themselves are covered by dedicated tests and by seeded
-raw-instance spot checks in the forest sweep.
+(profile, euler) pair of `graph_homology`, shared by its instances.  Each
+task checks its own instances (`_check`), duplicates included, in the order
+listed, and returns a report; the sweep adds the reports up in task order.
+The clamping and relabeling equivalences themselves are covered by
+dedicated tests and by seeded raw-instance spot checks in the forest sweep.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from collections import Counter, deque
+from collections import Counter
 from functools import partial
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .caterpillar import caterpillar_closed_form, cycle_reduce
 from .complexes import DEFAULT_FACE_CAP, build_complex
@@ -56,8 +56,8 @@ from .recursion import SphereCounts, plan_counts, sphere_counts
 class VerifyReport:
     """What a sweep found, counted as its instances are checked.
 
-    Equal by value, apart from `started`, the sweep's start time, which
-    comes last in `__slots__` and is left out of equality and repr.
+    A pool task checks its instances into a report of its own, and the
+    sweep `add`s each one into its report, in task order.
     """
 
     __slots__ = (
@@ -65,7 +65,7 @@ class VerifyReport:
         "euler_failures", "errors", "raw_checked", "elapsed_ms", "started",
     )
 
-    def __init__(self, kind: str, params: dict):
+    def __init__(self, kind: str = "", params: Optional[dict] = None):
         self.kind = kind
         self.params = params
         self.instances = self.classes = self.agreements = self.raw_checked = 0
@@ -76,17 +76,15 @@ class VerifyReport:
         self.elapsed_ms = 0.0
         self.started = time.perf_counter()
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__[:-1])
-
-    def __eq__(self, other):
-        if other.__class__ is not VerifyReport:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self):
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
-        return f"VerifyReport({fields})"
+    def add(self, other: VerifyReport) -> None:
+        """Count in a task's report, after the instances already counted."""
+        self.instances += other.instances
+        self.classes += other.classes
+        self.agreements += other.agreements
+        self.mismatches += other.mismatches
+        self.torsion_hits += other.torsion_hits
+        self.euler_failures += other.euler_failures
+        self.errors += other.errors
 
     def finish(self) -> VerifyReport:
         self.elapsed_ms = (time.perf_counter() - self.started) * 1000.0
@@ -130,30 +128,29 @@ def clamped_bound_grid(graph: Graph, max_bound: int):
     return itertools.product(*[range(min(max_bound, d) + 1) for d in graph.degrees()])
 
 
-def _forest_task(face_cap: int, shards) -> list:
-    """(classes, per-instance results) of each shard of (graph, bounds) instances.
+def _forest_task(face_cap: int, shards) -> VerifyReport:
+    """The report of `_check` on every instance of a task's shards.
 
     Each graph's plan is built once and names each instance's class by the
     canonical code of its clamped bounds.  The oracle runs once per class,
     on its first instance, and the plan's recursion once per instance, so
-    an instance's result is (its class's (profile, euler), its counts, no
+    an instance is checked on (its class's (profile, euler), its counts, no
     faults).
     """
+    report = VerifyReport()
     plan = None
-    done = []
     for shard in shards:
         classes: dict = {}
-        out = []
-        for graph, bounds in shard:
+        for graph, bounds, extra in shard:
             if plan is None or plan.graph is not graph:  # a graph's instances come in a row
                 plan = forest_plan(graph)
             name = plan.code(bounds, clamp=True)
             oracle = classes.get(name)
             if oracle is None:
                 oracle = classes[name] = _oracle_worker(graph, bounds, face_cap)
-            out.append((oracle, plan_counts(plan, bounds), ()))
-        done.append((len(classes), out))
-    return done
+            _check(report, graph, bounds, extra, (oracle, plan_counts(plan, bounds), ()))
+        report.classes += len(classes)
+    return report
 
 
 # instances per pool task, at least: 64 gives the benchmark's smallest sweep
@@ -163,18 +160,12 @@ TASK_SIZE = 64
 
 
 def _sweep(report: VerifyReport, shards, run, jobs: int) -> VerifyReport:
-    """Run `run` on the tasks packed from `shards`, and `_check` each instance as its task returns.
+    """Add up into `report` the reports of `run` on the tasks packed from `shards`, in task order.
 
     A shard is a list of (graph, bounds, extra) instances holding whole
-    classes; `run(task)` gives (classes, per-instance results) for each
-    shard of the task, whose shards hold (graph, bounds) only.  `sent` holds
-    the tasks that the pool has read until they are checked.
+    classes; `run(task)` checks every instance of the task's shards and
+    returns its own report, so no instance stays behind here.
     """
-    sent: deque = deque()
-
-    def send(task):
-        sent.append(task)
-        return [[(graph, bounds) for graph, bounds, _ in shard] for shard in task]
 
     def tasks():
         task, size = [], 0
@@ -182,16 +173,13 @@ def _sweep(report: VerifyReport, shards, run, jobs: int) -> VerifyReport:
             task.append(shard)
             size += len(shard)
             if size >= TASK_SIZE:
-                yield send(task)
+                yield task
                 task, size = [], 0
         if task:
-            yield send(task)
+            yield task
 
-    for results in pool_map(run, tasks(), jobs):
-        for shard, (classes, out) in zip(sent.popleft(), results):
-            report.classes += classes
-            for (graph, bounds, extra), result in zip(shard, out):
-                _check(report, graph, bounds, extra, result)
+    for done in pool_map(run, tasks(), jobs):
+        report.add(done)
     return report.finish()
 
 
@@ -397,9 +385,16 @@ def _cycle_worker(graph: Graph, bounds: DegreeBounds, face_cap: int):
     return (cyc_h, euler), sphere_counts(split, split_bounds), faults
 
 
-def _cycle_task(face_cap: int, shards) -> list:
-    """(1, results) per shard: one cycle instance, repeated if listed twice."""
-    return [(1, [_cycle_worker(*shard[0], face_cap)] * len(shard)) for shard in shards]
+def _cycle_task(face_cap: int, shards) -> VerifyReport:
+    """The report of a task's shards, each one cycle instance, repeated if listed twice."""
+    report = VerifyReport()
+    for shard in shards:
+        graph, bounds, _ = shard[0]
+        result = _cycle_worker(graph, bounds, face_cap)
+        for instance in shard:
+            _check(report, *instance, result)
+        report.classes += 1
+    return report
 
 
 def sweep_cycles(

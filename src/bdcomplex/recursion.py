@@ -26,7 +26,9 @@ children.  Folding a child c in state (j_c, r_c), with k = bound(c) - j_c:
   at v.
 
 A root closes with its own star, star(bound - j, r).  Trees combine with
-the join convolution.
+the join convolution.  `caterpillar_counts` runs the same fold along a
+caterpillar's spine straight from its shorthand: spine vertex i starts in
+the state (0, m_i), its m_i leaves counted and never built.
 
 Before any of that, `forest_counts` asks whether the complex is a cone.
 If some edge e = {u, v} has bound(u) >= deg u and bound(v) >= deg v, then
@@ -57,6 +59,7 @@ from typing import Optional, Sequence
 
 from .errors import NotAForestError
 from .graph import (
+    CaterpillarSpec,
     DegreeBounds,
     ForestPlan,
     Graph,
@@ -152,6 +155,24 @@ def _fold_child(parent: dict, child: dict, bound_v: int, bound_c: int) -> dict:
     return out
 
 
+def _close(root: dict, bound: int) -> SphereCounts:
+    """Sphere counts of a tree whose root, of `bound`, is left in the states `root`.
+
+    Each state (j, r) -> W closes with the root's star, star(bound - j, r).
+    """
+    tree: SphereCounts = {}
+    for (j, r), w in root.items():
+        k = bound - j
+        shift, mult = 0, 1
+        if r and k:
+            if k >= r:
+                continue
+            shift, mult = k, comb(r - 1, k)
+        for d, c in w.items():
+            tree[d + shift] = tree.get(d + shift, 0) + c * mult
+    return tree
+
+
 def plan_counts(plan: ForestPlan, bounds: Sequence[int]) -> SphereCounts:
     """Sphere multiplicities of the forest of `plan` under valid `bounds`.
 
@@ -177,20 +198,29 @@ def plan_counts(plan: ForestPlan, bounds: Sequence[int]) -> SphereCounts:
             continue  # a leaf child with bound 0 leaves p as it is
         if mine is None:
             continue  # a lone vertex's {-1: 1} is the identity of the join
-        tree: SphereCounts = {}
-        for (j, r), w in mine.items():
-            k = bounds[v] - j
-            shift, mult = 0, 1
-            if r and k:
-                if k >= r:
-                    continue
-                shift, mult = k, comb(r - 1, k)
-            for d, c in w.items():
-                tree[d + shift] = tree.get(d + shift, 0) + c * mult
+        tree = _close(mine, bounds[v])
         if not tree:
             return {}  # a contractible tree makes the whole join contractible
         result = tree if result is None else join_convolve(result, tree)
     return {-1: 1} if result is None else result
+
+
+def caterpillar_counts(spec: CaterpillarSpec) -> SphereCounts:
+    """Sphere multiplicities of a caterpillar, folded along its spine from `spec`.
+
+    No leaf is built: spine vertex i starts with its m_i leaves, each of
+    bound 1 and so live, in the state (0, m_i) -> {-1: 1}.  Each spine
+    vertex is folded into the next, and the last one closes with its star.
+    """
+    state: Optional[dict] = None
+    bound = 0
+    for m, lam in zip(spec.m, spec.lambda_spine):
+        start = {(0, m): {-1: 1}}
+        state = start if state is None else _fold_child(start, state, lam, bound)
+        if not state:
+            return {}  # no state left: contractible (see the module docstring)
+        bound = lam
+    return _close(state, bound)
 
 
 def forest_counts(graph: Graph, bounds: Sequence[int]) -> Optional[SphereCounts]:

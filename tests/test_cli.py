@@ -28,6 +28,7 @@ def write_instance(tmp_path, obj, name="instance.json"):
 
 
 TWO_SPINE = {"caterpillar": {"m": [2, 1], "lambda": [2, 1]}}
+TOO_LONG_TO_PRINT = {"caterpillar": {"m": [20000], "lambda": [10000]}}
 
 
 def run_script(body: str, stdin: str = "", limit_mb: int = 256, timeout: float = 120):
@@ -362,6 +363,17 @@ class TestCompute:
         assert obj["method"] == "closed-form"
         assert obj["spheres"] == {"1": comb(3999999, 2)}
 
+    def test_caterpillar_with_a_bare_spine_vertex_under_256_mb(self):
+        # the recursion folds the spine from the shorthand; building its
+        # 10^8 leaves would take far more than 256 MB
+        proc = run_limited(
+            ["compute", "-"], '{"caterpillar":{"m":[0,100000000],"lambda":[1,2]}}', timeout=10
+        )
+        assert proc.returncode == 0, proc.stderr
+        obj = json.loads(proc.stdout)
+        assert obj["method"] == "recursion"
+        assert obj["spheres"] == {"1": comb(10**8, 2)}
+
     def test_short_cycle_lambda_refused_under_256_mb(self):
         # the length of lambda is checked before a cycle of n vertices is built
         proc = run_limited(["compute", "-"], '{"cycle":{"n":4000000,"lambda":[1]}}')
@@ -412,6 +424,15 @@ class TestCompute:
         assert code == 1
         assert json.loads(out)["error"]["type"] == "ParseError"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("output", ["json", "table"])
+    def test_a_result_too_long_to_print_is_an_error_object(self, capsys, tmp_path, output):
+        # C(19999, 10000) has more digits than CPython turns into a string
+        path = write_instance(tmp_path, TOO_LONG_TO_PRINT)
+        code, out, err = run(capsys, ["compute", path, "--output", output])
+        assert code == 1 and "Traceback" not in err
+        obj = json.loads(out)
+        assert list(obj) == ["error"] and obj["error"]["type"] == "ResultTooLargeError"
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, ["compute", str(tmp_path / "absent.json")])
@@ -527,6 +548,18 @@ class TestBatch:
             assert "Traceback" not in err
             assert objs[0]["method"] == "recursion" and objs[2]["method"] == "cycle-reduce"
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_result_too_long_to_print_is_an_error_object(self, capsys, tmp_path, jobs):
+        lines = self.lines()
+        lines[1] = json.dumps(TOO_LONG_TO_PRINT)
+        path = tmp_path / "batch.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, ["batch", str(path), "--jobs", jobs])
+        assert code == 1 and "Traceback" not in err
+        objs = [json.loads(line) for line in out.splitlines()]
+        assert objs[1]["error"]["type"] == "ResultTooLargeError" and objs[1]["line"] == 2
+        assert objs[0]["method"] == "recursion" and objs[2]["method"] == "cycle-reduce"
+
     def traced_batch(self, capsys, monkeypatch, lines, argv):
         """Run `batch` on stdin, logging each line read and each result written."""
         events = []
@@ -539,9 +572,9 @@ class TestBatch:
 
         real_emit = cli._emit
 
-        def emit(obj, output):
+        def emit(line):
             events.append("write")
-            real_emit(obj, output)
+            real_emit(line)
 
         monkeypatch.setattr(cli, "_emit", emit)
         data = ("\n".join(lines) + "\n").encode()

@@ -135,13 +135,14 @@ class TestPoolMap:
 
 
 class TestSweepStreaming:
-    """`_sweep` takes shards as it checks them and holds no instance list."""
+    """`_sweep` takes shards as their reports come back and holds no instance list."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_checks_keep_up_with_the_tasks_taken(self, monkeypatch, jobs):
         # every shard fills one task: TASK_SIZE copies of one cycle instance
+        monkeypatch.setattr(dispatch, "usable_cpus", lambda: 2)  # a pool on any host
         instance = (gen_cycle(3), (2, 1, 1), None)
-        taken = checked = 0
+        taken = added = 0
         ahead = []
 
         def shards():
@@ -150,22 +151,40 @@ class TestSweepStreaming:
                 taken += 1
                 yield [instance] * harness.TASK_SIZE
 
-        real = harness._check
+        real = harness.VerifyReport.add
 
-        def check(report, graph, bounds, extra, result):
-            nonlocal checked
-            checked += 1
-            begun = (checked - 1) // harness.TASK_SIZE + 1  # tasks whose checks have begun
-            ahead.append(taken - begun)
-            real(report, graph, bounds, extra, result)
+        def add(report, done):
+            nonlocal added
+            ahead.append(taken - added)  # tasks read and not yet added, this one included
+            added += 1
+            real(report, done)
 
-        monkeypatch.setattr(harness, "_check", check)
+        monkeypatch.setattr(harness.VerifyReport, "add", add)
         report = harness.VerifyReport("cycles", {})
         run = partial(harness._cycle_task, DEFAULT_FACE_CAP)
         harness._sweep(report, shards(), run, jobs)
-        assert report.instances == checked == 30 * harness.TASK_SIZE and report.ok
-        assert report.classes == 30
-        assert 0 <= min(ahead) and max(ahead) <= POOL_READ_AHEAD * jobs
+        assert report.instances == 30 * harness.TASK_SIZE and report.ok
+        assert report.classes == added == 30
+        assert 1 <= min(ahead) and max(ahead) <= POOL_READ_AHEAD * jobs
+
+    def test_pool_workers_check_and_the_parent_adds(self, monkeypatch):
+        real, checked = harness._check, []
+
+        def check(*args):
+            checked.append(args[2])  # into the list of the process that checks
+            real(*args)
+
+        monkeypatch.setattr(harness, "_check", check)
+        # the all-ones cycles C3, C4 and C5 are not reducible: three errors
+        serial = sweep_cycles([3, 4, 5], 2, (0, 1, 2))
+        assert len(checked) == serial.instances == 351 and len(serial.errors) == 3
+        checked.clear()
+        monkeypatch.setattr(dispatch, "usable_cpus", lambda: 2)
+        pooled = sweep_cycles([3, 4, 5], 2, (0, 1, 2), jobs=2)
+        assert checked == []  # the forked workers made every check
+        assert pooled.to_json() == serial.to_json()
+        for name in ("mismatches", "torsion_hits", "euler_failures", "errors"):
+            assert getattr(pooled, name) == getattr(serial, name)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_a_last_bound_listed_twice_is_one_class(self, jobs):
@@ -527,12 +546,8 @@ class TestRecords:
         assert HomologyProfile() == HomologyProfile({}, {})
         assert HomologyProfile().betti is not HomologyProfile().betti
         one, two = VerifyReport("forests", {}), VerifyReport("forests", {})
-        assert one.errors is not two.errors
-        one.instances += 1
-        assert one != two
-        two.instances += 1
-        assert one == two  # apart from `started`
-        assert "started" not in repr(one)
+        for name in ("mismatches", "torsion_hits", "euler_failures", "errors"):
+            assert getattr(one, name) is not getattr(two, name)
 
     def test_the_records_share_one_base(self):
         for cls in (Graph, CaterpillarSpec, ForestPlan, HomologyProfile, Instance):

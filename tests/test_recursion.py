@@ -23,6 +23,8 @@ from bdcomplex.harness import clamped_bound_grid
 from bdcomplex.homology import reduced_homology, wedge_profile
 from bdcomplex import recursion
 from bdcomplex.recursion import (
+    caterpillar_counts,
+    forest_counts,
     join_convolve,
     plan_counts,
     simplify,
@@ -312,6 +314,31 @@ class TestEarlyStop:
         counts, folds = self.counted_folds(monkeypatch, forest, bounds)
         assert (counts, folds) == ({}, 0)
         assert reference_sphere_counts(forest, bounds) == {}
+
+
+class TestSpineFold:
+    """`caterpillar_counts` folds a caterpillar along its spine from its spec."""
+
+    @pytest.mark.parametrize("spine", [1, 2, 3])
+    def test_matches_the_forest_fold(self, spine):
+        for m in itertools.product(range(4), repeat=spine):
+            for lam in itertools.product(range(4), repeat=spine):
+                spec = CaterpillarSpec(m, lam)
+                assert caterpillar_counts(spec) == forest_counts(*gen_caterpillar(spec)), spec
+
+    def test_a_spine_left_with_no_state_is_contractible(self, monkeypatch):
+        # spine vertex 0 has bound 2, its degree, and one leaf: its leaf
+        # edge is a cone point, so folding it into vertex 1 leaves no state
+        folds = []
+        fold = recursion._fold_child
+
+        def counted(*args):
+            folds.append(args)
+            return fold(*args)
+
+        monkeypatch.setattr(recursion, "_fold_child", counted)
+        assert caterpillar_counts(CaterpillarSpec((1, 0, 0, 0), (2, 1, 1, 1))) == {}
+        assert len(folds) == 1
 
 
 def signed_sum(counts):

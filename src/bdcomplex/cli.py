@@ -13,7 +13,6 @@ import json
 import sys
 from contextlib import nullcontext
 from functools import partial
-from itertools import chain, islice
 from typing import Collection, Optional
 
 from .complexes import DEFAULT_FACE_CAP
@@ -118,12 +117,12 @@ def _read_instance_bytes(path: str) -> bytes:
 
 
 def _parse_json_instance(data: bytes) -> Instance:
-    """The instance that UTF-8 JSON bytes give; bytes that are not UTF-8 are a ParseError."""
+    """The instance that UTF-8 JSON bytes give; other bytes, or JSON nested too deep, are a ParseError."""
     try:
         obj = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ParseError(f"invalid UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     return parse_instance(obj)
 
@@ -137,61 +136,52 @@ def _error_json(exc: Exception) -> dict:
     return {"error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
-def cmd_compute(args) -> int:
-    try:
-        instance = _parse_json_instance(_read_instance_bytes(args.instance))
-        res = compute_instance(instance, args.method, args.face_cap)
-        line = _render(result_json(instance, res, args.timings), args.output)
-    except OSError:
-        raise  # an unreadable instance file is a usage error: exit 2 in main
-    except Exception as exc:  # noqa: BLE001 - any other failure is an error object
-        _emit(_render(_error_json(exc), args.output))
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _emit(line)
-    return 0
-
-
-BATCH_CHUNK = 32  # consecutive lines per pool task of `batch` at jobs > 1
-
-
-def _batch_line(method: str, face_cap: int, output: str, task: tuple[int, bytes]) -> tuple[bool, str]:
-    """(failed, output line) for one input line: its result, or an error object naming the line.
+def _answer(
+    method: str, face_cap: int, output: str, timings: bool, data: bytes, line: Optional[int] = None
+) -> tuple[Optional[str], str]:
+    """(error message or None, output line) for one instance's bytes: its
+    result, or an error object, naming the input `line` if given.
 
     Any exception, rendering included, becomes an error object, so one bad
-    line (malformed input, bytes that are not UTF-8, an exhausted face cap,
-    a result too long to print, even a RecursionError or MemoryError) never
-    costs the other lines their output.
+    instance (malformed input, bytes that are not UTF-8, an exhausted face
+    cap, a result too long to print, even a RecursionError or MemoryError)
+    never costs the other lines of a batch their output.
     """
-    lineno, line = task
     try:
-        instance = _parse_json_instance(line)
+        instance = _parse_json_instance(data)
         res = compute_instance(instance, method, face_cap)
-        return False, _render(result_json(instance, res, False), output)
-    except Exception as exc:  # noqa: BLE001 - one line's fault must not stop the batch
-        return True, _render({**_error_json(exc), "line": lineno}, output)
+        return None, _render(result_json(instance, res, timings), output)
+    except Exception as exc:  # noqa: BLE001 - one instance's fault is its error object
+        error = _error_json(exc)
+        if line is not None:
+            error["line"] = line
+        return str(exc), _render(error, output)
 
 
-def _batch_chunk(method: str, face_cap: int, output: str, chunk: list[tuple[int, bytes]]) -> list:
-    """`_batch_line` on each line of a pool task, in order."""
-    return [_batch_line(method, face_cap, output, task) for task in chunk]
+def cmd_compute(args) -> int:
+    data = _read_instance_bytes(args.instance)  # an OSError here is a usage error: exit 2 in main
+    error, line = _answer(args.method, args.face_cap, args.output, args.timings, data)
+    _emit(line)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return 0 if error is None else 1
+
+
+def _answer_lines(answer, lines: list[tuple[int, bytes]]) -> list[tuple[Optional[str], str]]:
+    """`answer` on each (line number, bytes) of a batch task, in order."""
+    return [answer(data, lineno) for lineno, data in lines]
 
 
 def cmd_batch(args) -> int:
+    answer = partial(_answer, args.method, args.face_cap, args.output, args.timings)
     with open(args.file, "rb") if args.file != "-" else nullcontext(sys.stdin.buffer) as fh:
-        # read lazily, one line at a time; each line is decoded on its own in _parse_json_instance
-        tasks = ((i, line) for i, line in enumerate(fh, start=1) if line.strip())
-        if args.jobs > 1:
-            # a pool task per line costs more in round trips than most lines take
-            chunks = iter(lambda: list(islice(tasks, BATCH_CHUNK)), [])
-            worker = partial(_batch_chunk, args.method, args.face_cap, args.output)
-            results = chain.from_iterable(pool_map(worker, chunks, args.jobs))
-        else:
-            results = map(partial(_batch_line, args.method, args.face_cap, args.output), tasks)
+        # read lazily, one line per shard; each is decoded on its own in _parse_json_instance
+        shards = ([(i, line)] for i, line in enumerate(fh, start=1) if line.strip())
         failed = False
-        for error, line in results:
-            failed = failed or error
-            _emit(line)
+        for results in pool_map(partial(_answer_lines, answer), shards, args.jobs):
+            for error, line in results:
+                failed = failed or error is not None
+                _emit(line)
     return 1 if failed else 0
 
 

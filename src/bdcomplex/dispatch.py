@@ -3,8 +3,8 @@
 `parse_instance` turns one accepted JSON shape into an `Instance`, and
 `compute_instance` sends it down one route: the caterpillar closed form,
 the forest recursion, the recursion on the forest that `cycle_reduce` cuts
-a graph with cycles into, or the homology oracle.  `pool_map` fans work out
-to a process pool for `batch` and for the verification sweeps in `harness`.
+a graph with cycles into, or the homology oracle.  `pool_map` cuts the work
+of `batch` and of the sweeps in `harness` into tasks for a process pool.
 `cli` takes these names from here and imports `harness` only for `verify`,
 so `bdcomplex compute` and `bdcomplex batch` do not compile the sweeps at
 start-up.
@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .caterpillar import caterpillar_closed_form, cycle_reduce
 from .complexes import DEFAULT_FACE_CAP
-from .errors import MethodMismatchError, ParseError
+from .errors import MethodMismatchError, ParseError, WorkerDiedError
 from .graph import (
     CaterpillarSpec,
     DegreeBounds,
@@ -207,6 +207,8 @@ def compute_instance(
 # tasks per worker that pool_map may read ahead of the results taken
 POOL_READ_AHEAD = 4
 
+TASK_SIZE = 64  # items per pool task, at least: 4 tasks for the benchmark's 252 matching instances
+
 
 def usable_cpus() -> int:
     """The number of CPUs this process may run on."""
@@ -216,28 +218,50 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def pool_map(fn, tasks, jobs: int):
-    """Yield `fn` over `tasks` in task order, from a pool of min(jobs, usable_cpus()) processes.
+def _tasks(shards):
+    """Consecutive whole shards joined into tasks of at least TASK_SIZE items; the last may hold fewer."""
+    task: list = []
+    for shard in shards:
+        task += shard
+        if len(task) >= TASK_SIZE:
+            yield task
+            task = []
+    if task:
+        yield task
 
-    Where that is at most 1, the tasks run in this process, with no pool.
-    `tasks` is read lazily, and only in the caller's thread: with a pool,
-    POOL_READ_AHEAD tasks per worker go to the pool before the first result
-    is waited for, and one more each time the caller comes back for the
-    next result, so after r results taken, POOL_READ_AHEAD * workers + r - 1
-    tasks have been read.  A task's exception is raised here, after the
-    results before it; the pool ends with the loop, or when the caller
-    stops early.
+
+def pool_map(fn, shards, jobs: int):
+    """Yield `fn` over tasks cut from `shards`, in order, from min(jobs, usable_cpus()) processes.
+
+    A shard is a list of items that no task splits; `fn` takes a task's
+    flat list of items.  Where at most one process is usable, each shard is
+    a task, run in this process, so its result is yielded before the next
+    shard is read.  With a pool, consecutive whole shards are joined into
+    tasks of at least TASK_SIZE items, read lazily, and only in the caller's
+    thread: POOL_READ_AHEAD tasks per worker go to the pool before the first
+    result is waited for, and one more each time the caller comes back for
+    the next result, so after r results taken, POOL_READ_AHEAD * workers +
+    r - 1 tasks have been read.  A task's exception is raised here, after
+    the results before it, and a worker that dies is a WorkerDiedError; the
+    pool ends with the loop, or when the caller stops early, once the tasks
+    already running are done.
     """
     workers = min(jobs, usable_cpus())
     if workers <= 1:
-        yield from map(fn, tasks)
+        yield from map(fn, shards)
         return
-    from multiprocessing import Pool  # only here, with the pool: keeps it out of every start-up
+    # only here, with the pool: keeps multiprocessing out of every start-up
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    tasks = iter(tasks)
-    with Pool(processes=workers) as pool:
-        pending = deque(pool.apply_async(fn, (t,)) for t in islice(tasks, POOL_READ_AHEAD * workers))
+    tasks = _tasks(shards)
+    pool = ProcessPoolExecutor(workers)
+    try:
+        pending = deque(pool.submit(fn, t) for t in islice(tasks, POOL_READ_AHEAD * workers))
         while pending:
-            yield pending.popleft().get()
+            yield pending.popleft().result()
             for t in islice(tasks, 1):  # the caller came back for a result: read one more task
-                pending.append(pool.apply_async(fn, (t,)))
+                pending.append(pool.submit(fn, t))
+    except BrokenProcessPool as exc:  # raised by `result`, and by `submit` once one was
+        raise WorkerDiedError("a pool worker died before its task was done") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)

@@ -47,3 +47,7 @@ class InvalidParamsError(BoundedDegreeError, ValueError):
 
 class ResultTooLargeError(BoundedDegreeError, ValueError):
     """A result holds an integer with more digits than Python will print."""
+
+
+class WorkerDiedError(BoundedDegreeError, RuntimeError):
+    """A process-pool worker died, killed or crashed, before its task was done."""

@@ -10,16 +10,15 @@ yields: lists of (graph, bounds, extra) instances that hold whole classes.
 Two instances whose (forest, bounds) pairs are isomorphic after clamping
 each bound at the vertex degree have equal complexes up to relabeling, so a
 shard holds all the instances of the graphs of one isomorphism class of the
-bare graph (or one cycle instance).  Consecutive shards go to a pool task
-(through `pool_map`) until it holds `TASK_SIZE` instances.  The forest task
-(`_forest_task`) builds each graph's `ForestPlan` once, names every
-instance's class by the plan's canonical code of its clamped bounds, runs
-the homology oracle once per class and the plan's forest recursion once per
-instance; the cycle task (`_cycle_task`) checks, face for face, the forest
-that `cycle_reduce` splits one cycle into.  A class's oracle is the
-(profile, euler) pair of `graph_homology`, shared by its instances.  Each
-task checks its own instances (`_check`), duplicates included, in the order
-listed, and returns a report; the sweep adds the reports up in task order.
+bare graph (or one cycle instance).  `pool_map` cuts tasks from the shards
+and splits none.  The forest task (`_forest_task`) builds each graph's
+`ForestPlan` once, names every instance's class by the plan's canonical
+code of its clamped bounds, runs the homology oracle once per class and the
+plan's forest recursion once per instance; the cycle task (`_cycle_task`)
+checks, face for face, the forest that `cycle_reduce` splits one cycle
+into.  A class's oracle is the (profile, euler) pair of `graph_homology`.
+Each task checks its own instances (`_check`), duplicates included, in the
+order listed, and returns a report; the sweep adds them up in task order.
 The clamping and relabeling equivalences themselves are covered by
 dedicated tests and by seeded raw-instance spot checks in the forest sweep.
 """
@@ -128,57 +127,37 @@ def clamped_bound_grid(graph: Graph, max_bound: int):
     return itertools.product(*[range(min(max_bound, d) + 1) for d in graph.degrees()])
 
 
-def _forest_task(face_cap: int, shards) -> VerifyReport:
-    """The report of `_check` on every instance of a task's shards.
+def _forest_task(face_cap: int, instances) -> VerifyReport:
+    """The report of `_check` on every instance of a task.
 
     Each graph's plan is built once and names each instance's class by the
-    canonical code of its clamped bounds.  The oracle runs once per class,
-    on its first instance, and the plan's recursion once per instance, so
-    an instance is checked on (its class's (profile, euler), its counts, no
-    faults).
+    canonical code of its clamped bounds; a shard holds whole classes of
+    the bare graph, so no two shards share a code.  The oracle runs once
+    per class, on its first instance, and the plan's recursion once per
+    instance, which is checked on its class's (profile, euler) and counts.
     """
     report = VerifyReport()
     plan = None
-    for shard in shards:
-        classes: dict = {}
-        for graph, bounds, extra in shard:
-            if plan is None or plan.graph is not graph:  # a graph's instances come in a row
-                plan = forest_plan(graph)
-            name = plan.code(bounds, clamp=True)
-            oracle = classes.get(name)
-            if oracle is None:
-                oracle = classes[name] = _oracle_worker(graph, bounds, face_cap)
-            _check(report, graph, bounds, extra, (oracle, plan_counts(plan, bounds), ()))
-        report.classes += len(classes)
+    classes: dict = {}
+    for graph, bounds, extra in instances:
+        if plan is None or plan.graph is not graph:  # a graph's instances come in a row
+            plan = forest_plan(graph)
+        name = plan.code(bounds, clamp=True)
+        oracle = classes.get(name)
+        if oracle is None:
+            oracle = classes[name] = _oracle_worker(graph, bounds, face_cap)
+        _check(report, graph, bounds, extra, (oracle, plan_counts(plan, bounds), ()))
+    report.classes = len(classes)
     return report
 
 
-# instances per pool task, at least: 64 gives the benchmark's smallest sweep
-# (252 matching instances) 4 tasks, 2 per worker, and criterion 5's 16,368
-# cycle instances 256; forest and caterpillar shards are mostly larger.
-TASK_SIZE = 64
-
-
 def _sweep(report: VerifyReport, shards, run, jobs: int) -> VerifyReport:
-    """Add up into `report` the reports of `run` on the tasks packed from `shards`, in task order.
+    """Add up into `report` the reports of `run` on the tasks that `pool_map` cuts from `shards`.
 
-    A shard is a list of (graph, bounds, extra) instances holding whole
-    classes; `run(task)` checks every instance of the task's shards and
-    returns its own report, so no instance stays behind here.
+    `run(instances)` checks every instance of a task and returns its own
+    report, so no instance stays behind here.
     """
-
-    def tasks():
-        task, size = [], 0
-        for shard in shards:
-            task.append(shard)
-            size += len(shard)
-            if size >= TASK_SIZE:
-                yield task
-                task, size = [], 0
-        if task:
-            yield task
-
-    for done in pool_map(run, tasks(), jobs):
+    for done in pool_map(run, shards, jobs):
         report.add(done)
     return report.finish()
 
@@ -385,15 +364,16 @@ def _cycle_worker(graph: Graph, bounds: DegreeBounds, face_cap: int):
     return (cyc_h, euler), sphere_counts(split, split_bounds), faults
 
 
-def _cycle_task(face_cap: int, shards) -> VerifyReport:
-    """The report of a task's shards, each one cycle instance, repeated if listed twice."""
+def _cycle_task(face_cap: int, instances) -> VerifyReport:
+    """The report of a task's cycle instances; one equal to the one before reuses its result."""
     report = VerifyReport()
-    for shard in shards:
-        graph, bounds, _ = shard[0]
-        result = _cycle_worker(graph, bounds, face_cap)
-        for instance in shard:
-            _check(report, *instance, result)
-        report.classes += 1
+    previous = result = None
+    for instance in instances:
+        if instance != previous:
+            result = _cycle_worker(instance[0], instance[1], face_cap)
+            report.classes += 1
+            previous = instance
+        _check(report, *instance, result)
     return report
 
 

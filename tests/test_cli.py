@@ -11,8 +11,8 @@ import pytest
 
 import bdcomplex
 from bdcomplex import cli, dispatch
-from bdcomplex.cli import BATCH_CHUNK, main
-from bdcomplex.dispatch import POOL_READ_AHEAD
+from bdcomplex.cli import main
+from bdcomplex.dispatch import POOL_READ_AHEAD, TASK_SIZE
 
 
 def run(capsys, argv):
@@ -29,6 +29,8 @@ def write_instance(tmp_path, obj, name="instance.json"):
 
 TWO_SPINE = {"caterpillar": {"m": [2, 1], "lambda": [2, 1]}}
 TOO_LONG_TO_PRINT = {"caterpillar": {"m": [20000], "lambda": [10000]}}
+# 2,000 bytes of JSON nested deeper than the decoder's recursion limit
+TOO_DEEP = "[" * 1000 + "]" * 1000
 
 
 def run_script(body: str, stdin: str = "", limit_mb: int = 256, timeout: float = 120):
@@ -417,6 +419,13 @@ class TestCompute:
         }
         assert "Traceback" in err
 
+    def test_json_nested_too_deep_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(TOO_DEEP)
+        code, out, err = run(capsys, ["compute", str(path)])
+        assert code == 1 and "Traceback" not in err
+        assert json.loads(out)["error"]["type"] == "ParseError"
+
     def test_undecodable_file_is_an_error_object(self, capsys, tmp_path):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"n": 1, "edges": [], "lambda": [1]}\xff')
@@ -560,6 +569,60 @@ class TestBatch:
         assert objs[1]["error"]["type"] == "ResultTooLargeError" and objs[1]["line"] == 2
         assert objs[0]["method"] == "recursion" and objs[2]["method"] == "cycle-reduce"
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_json_nested_too_deep_is_a_parse_error(self, capsys, tmp_path, monkeypatch, jobs):
+        monkeypatch.setattr(dispatch, "usable_cpus", lambda: 2)  # a pool at jobs 2 on any host
+        lines = self.lines()
+        lines[1] = TOO_DEEP
+        path = tmp_path / "batch.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, ["batch", str(path), "--jobs", jobs])
+        assert code == 1 and "Traceback" not in err
+        objs = [json.loads(line) for line in out.splitlines()]
+        assert objs[1]["error"]["type"] == "ParseError" and objs[1]["line"] == 2
+        assert objs[0]["method"] == "recursion" and objs[2]["method"] == "cycle-reduce"
+
+    def test_timings_flag(self, capsys, tmp_path):
+        path = tmp_path / "batch.jsonl"
+        path.write_text("\n".join(self.lines()) + "\n")
+        code, out, _ = run(capsys, ["batch", str(path), "--timings"])
+        assert code == 0
+        timed = [json.loads(line) for line in out.splitlines()]
+        assert all("compute" in obj.pop("timing_ms") for obj in timed)
+        _, plain, _ = run(capsys, ["batch", str(path)])
+        assert timed == [json.loads(line) for line in plain.splitlines()]
+
+    def test_a_dead_worker_ends_the_run_with_an_error(self, tmp_path):
+        # the worker that answers line 200 exits at once, as one that the
+        # OOM killer ends would
+        lines = self.lines() * 100
+        lines[199] = json.dumps({"n": 1, "edges": [], "lambda": [1], "die": True})
+        path = tmp_path / "batch.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        body = textwrap.dedent(
+            f"""
+            import os
+            from bdcomplex import cli, dispatch
+            dispatch.usable_cpus = lambda: 2
+            compute = cli.compute_instance
+
+            def dying(instance, *args):
+                if instance.source.get("die"):
+                    os._exit(9)
+                return compute(instance, *args)
+
+            cli.compute_instance = dying
+            sys.exit(cli.main(["batch", {str(path)!r}, "--jobs", "2"]))
+            """
+        )
+        proc = run_script(body, limit_mb=1024, timeout=20)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        # the lines written before the worker died stay written, in order
+        written = [json.loads(line)["instance"] for line in proc.stdout.splitlines()]
+        assert written == [json.loads(line) for line in lines[: len(written)]]
+        assert len(written) < 199
+
     def traced_batch(self, capsys, monkeypatch, lines, argv):
         """Run `batch` on stdin, logging each line read and each result written."""
         events = []
@@ -588,12 +651,12 @@ class TestBatch:
         assert events == ["read", "write"] * 3
 
     def test_two_jobs_read_a_bounded_number_of_lines_ahead(self, capsys, monkeypatch):
-        lines = self.lines() * 120  # more than the pool reads ahead
+        lines = self.lines() * (POOL_READ_AHEAD + 1) * TASK_SIZE  # more than the pool reads ahead
         code, out, events = self.traced_batch(capsys, monkeypatch, lines, ["batch", "--jobs", "2"])
         assert code == 0
-        # the batch pool takes BATCH_CHUNK lines per task from two workers
-        ahead = POOL_READ_AHEAD * 2 * BATCH_CHUNK
-        assert len(lines) > ahead + BATCH_CHUNK
+        # the batch pool takes TASK_SIZE one-line shards per task from two workers
+        ahead = POOL_READ_AHEAD * 2 * TASK_SIZE
+        assert len(lines) > ahead + TASK_SIZE
         reads = writes = 0
         for event in events:
             if event == "read":
@@ -632,6 +695,29 @@ class TestVerifyCommand:
         code, _, err = run(capsys, argv + ["--jobs", jobs])
         assert code == 1
         assert err == "error: more than 3 faces in bounded degree complex\n"
+
+    def test_a_dead_worker_ends_the_sweep_with_an_error(self):
+        body = textwrap.dedent(
+            """
+            import os
+            from bdcomplex import dispatch, harness
+            from bdcomplex.cli import main
+            dispatch.usable_cpus = lambda: 2
+            worker = harness._cycle_worker
+
+            def dying(graph, bounds, face_cap):
+                if bounds == (1, 2, 1, 2, 0):
+                    os._exit(9)
+                return worker(graph, bounds, face_cap)
+
+            harness._cycle_worker = dying
+            sys.exit(main(["verify", "cycles", "--max-n", "5", "--jobs", "2"]))
+            """
+        )
+        proc = run_script(body, limit_mb=1024, timeout=20)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
 
     def test_cycles_sweep(self, capsys):
         code, out, _ = run(

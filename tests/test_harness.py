@@ -2,11 +2,14 @@
 package names that the benchmark's tracer binds, and the records' value
 semantics."""
 
+import concurrent.futures.process
 import importlib.util
 import itertools
 import multiprocessing
 import pickle
+import random
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 
 from bdcomplex import cli, dispatch, harness, recursion
 from bdcomplex.complexes import DEFAULT_FACE_CAP, SimplicialComplex
-from bdcomplex.dispatch import POOL_READ_AHEAD, ComputeResult, Instance, pool_map
+from bdcomplex.dispatch import POOL_READ_AHEAD, TASK_SIZE, ComputeResult, Instance, pool_map
 from bdcomplex.errors import MethodMismatchError
 from bdcomplex.graph import (
     CaterpillarSpec,
@@ -45,38 +48,43 @@ from bdcomplex.recursion import plan_counts
 from oracles import graph_keeping_a_cycle, graph_with_cycles
 
 
-def _square(x):
-    return x * x
+def _squares(task):
+    return [x * x for x in task]
 
 
-def _square_below_five(x):
-    if x == 5:
+def _first_squared(task):
+    if task[0] == 5:
         raise ValueError("task 5")
-    return x * x
+    return task[0] * task[0]
+
+
+def _whole(x):
+    """A shard that fills a pool task on its own: TASK_SIZE copies of `x`."""
+    return [x] * TASK_SIZE
 
 
 class TestPoolMap:
     def test_task_order_at_any_job_count(self):
-        tasks = list(range(40))
-        expected = [x * x for x in tasks]
+        shards = [[x] * (x % 3) for x in range(200)]
+        expected = [x * x for shard in shards for x in shard]
         for jobs in (0, 1, 2):
-            assert list(pool_map(_square, tasks, jobs)) == expected
-        assert list(pool_map(_square, iter(tasks), 2)) == expected
+            assert list(chain.from_iterable(pool_map(_squares, shards, jobs))) == expected
+        assert list(chain.from_iterable(pool_map(_squares, iter(shards), 2))) == expected
 
     def test_no_tasks(self):
-        assert list(pool_map(_square, [], 1)) == []
-        assert list(pool_map(_square, [], 2)) == []
+        assert list(pool_map(_squares, [], 1)) == []
+        assert list(pool_map(_squares, [], 2)) == []
 
     def test_caller_stopping_early_ends_the_pool(self, monkeypatch):
         monkeypatch.setattr(dispatch, "usable_cpus", lambda: 2)  # a pool on any host
         read = []
 
-        def tasks():
+        def shards():
             for x in range(10_000):
                 read.append(x)
-                yield x
+                yield _whole(x)
 
-        results = pool_map(_square, tasks(), 2)
+        results = pool_map(_first_squared, shards(), 2)
         taken = [next(results) for _ in range(3)]
         results.close()
         assert taken == [0, 1, 4] and len(read) == 2 + POOL_READ_AHEAD * 2
@@ -86,39 +94,40 @@ class TestPoolMap:
         monkeypatch.setattr(dispatch, "usable_cpus", lambda: 2)
         taken = []
         with pytest.raises(ValueError, match="task 5"):
-            for result in pool_map(_square_below_five, range(40), 2):
+            for result in pool_map(_first_squared, map(_whole, range(40)), 2):
                 taken.append(result)
         assert taken == [0, 1, 4, 9, 16]
         assert not multiprocessing.active_children()
 
-    def test_workers_are_capped_at_the_usable_cpus(self, monkeypatch):
+    def recording_executor(self, monkeypatch):
+        """A stand-in for ProcessPoolExecutor that starts no worker: it
+        records its size, the tasks submitted, and how many were submitted
+        at each wait for a result, which runs here."""
         started, submitted, waits = [], [], []
 
-        class RecordingPool:
-            """Starts no worker: records its size, the tasks submitted, and how
-            many were submitted at each wait for a result, which runs here."""
+        class RecordingExecutor:
+            def __init__(self, workers):
+                started.append(workers)
 
-            def __init__(self, processes):
-                started.append(processes)
-
-            def __enter__(self):
+            def submit(self, fn, task):
+                submitted.append((fn, task))
                 return self
 
-            def __exit__(self, *exc):
+            def result(self):
+                waits.append(len(submitted))
+                fn, task = submitted[len(waits) - 1]
+                return fn(task)
+
+            def shutdown(self, cancel_futures):
                 pass
 
-            def apply_async(self, fn, args):
-                submitted.append((fn, args))
-                return self
-
-            def get(self):
-                waits.append(len(submitted))
-                fn, args = submitted[len(waits) - 1]
-                return fn(*args)
-
-        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(dispatch, "usable_cpus", lambda: 2)
-        results = pool_map(_square, range(10_000), 5000)
+        return started, submitted, waits
+
+    def test_workers_are_capped_at_the_usable_cpus(self, monkeypatch):
+        started, _, waits = self.recording_executor(monkeypatch)
+        results = pool_map(_first_squared, map(_whole, range(10_000)), 5000)
         assert next(results) == 0
         results.close()
         assert started == [2]
@@ -128,10 +137,32 @@ class TestPoolMap:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started for one usable CPU")
 
-        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(dispatch, "usable_cpus", lambda: 1)
-        tasks = iter(range(40))
-        assert list(pool_map(_square, tasks, 2)) == [x * x for x in range(40)]
+        shards = iter([[x] for x in range(40)])
+        assert list(pool_map(_squares, shards, 2)) == [[x * x] for x in range(40)]
+
+    def test_no_task_splits_a_shard(self, monkeypatch):
+        rng = random.Random(0)
+        shards = [[(i, j) for j in range(rng.choice((1, 2, 5, 40, 70)))] for i in range(300)]
+        # in process, each shard is its own task
+        assert list(pool_map(list, shards, 1)) == shards
+        # with a pool, consecutive whole shards make each task, and a task
+        # ends with the first shard that brings it to TASK_SIZE items
+        _, submitted, _ = self.recording_executor(monkeypatch)
+        assert list(chain.from_iterable(pool_map(list, shards, 2))) == list(chain(*shards))
+        tasks = [task for _, task in submitted]
+        assert list(chain(*tasks)) == list(chain(*shards))
+        taken = iter(shards)
+        for task in tasks:
+            joined = []
+            while len(joined) < len(task):
+                last = next(taken)
+                joined += last
+            assert joined == task
+            if task is not tasks[-1]:
+                assert len(task) - len(last) < TASK_SIZE <= len(task)
+        assert next(taken, None) is None
 
 
 class TestSweepStreaming:
@@ -149,7 +180,7 @@ class TestSweepStreaming:
             nonlocal taken
             for _ in range(30):
                 taken += 1
-                yield [instance] * harness.TASK_SIZE
+                yield [instance] * TASK_SIZE
 
         real = harness.VerifyReport.add
 
@@ -163,7 +194,7 @@ class TestSweepStreaming:
         report = harness.VerifyReport("cycles", {})
         run = partial(harness._cycle_task, DEFAULT_FACE_CAP)
         harness._sweep(report, shards(), run, jobs)
-        assert report.instances == 30 * harness.TASK_SIZE and report.ok
+        assert report.instances == 30 * TASK_SIZE and report.ok
         assert report.classes == added == 30
         assert 1 <= min(ahead) and max(ahead) <= POOL_READ_AHEAD * jobs
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from contextlib import nullcontext
 from functools import partial
 from typing import Collection, Optional
@@ -41,28 +42,30 @@ from .recursion import SphereCounts
 # ---------------------------------------------------------------------------
 
 
-def _counts_json(counts: SphereCounts) -> dict[str, int]:
-    return {str(d): counts[d] for d in sorted(counts)}
+# int dimension keys: json.dumps writes them inside _render's `try` (see there)
+def _counts_json(counts: SphereCounts) -> dict[int, int]:
+    return {d: counts[d] for d in sorted(counts)}
 
 
 def _homology_json(profile: HomologyProfile) -> dict:
     return {
-        "betti": {str(d): profile.betti[d] for d in sorted(profile.betti)},
-        "torsion": {str(d): list(profile.torsion[d]) for d in sorted(profile.torsion)},
+        "betti": {d: profile.betti[d] for d in sorted(profile.betti)},
+        "torsion": {d: list(profile.torsion[d]) for d in sorted(profile.torsion)},
     }
 
 
-def result_json(instance: Instance, res: ComputeResult, timings: bool = False) -> dict:
+def result_json(instance: Instance, res: ComputeResult, compute_ms: Optional[float] = None) -> dict:
+    """The result object of `res`; `compute_ms`, if given, is its `timing_ms`."""
     out: dict = {"instance": instance.source, "method": res.method_used}
-    if res.wedge_consistent:
-        out["contractible"] = res.contractible
+    if res.spheres is not None:
+        out["contractible"] = not res.spheres
         out["spheres"] = _counts_json(res.spheres)
     else:
         out["wedge_consistent"] = False
     if res.homology is not None:
         out["homology"] = _homology_json(res.homology)
-    if timings:
-        out["timing_ms"] = {k: round(v, 3) for k, v in res.timings_ms.items()}
+    if compute_ms is not None:
+        out["timing_ms"] = {"compute": round(compute_ms, 3)}
     return out
 
 
@@ -72,10 +75,8 @@ def _result_table(obj: dict) -> str:
     elif obj.get("contractible"):
         shape = "contractible"
     else:
-        spheres = obj.get("spheres", {})
-        shape = " v ".join(
-            f"{c}*S^{d}" if c > 1 else f"S^{d}"
-            for d, c in sorted(spheres.items(), key=lambda kv: int(kv[0]))
+        shape = " v ".join(  # _counts_json sorted the dimensions
+            f"{c}*S^{d}" if c > 1 else f"S^{d}" for d, c in obj["spheres"].items()
         )
     return f"{obj['method']:<14} {shape}"
 
@@ -117,12 +118,13 @@ def _read_instance_bytes(path: str) -> bytes:
 
 
 def _parse_json_instance(data: bytes) -> Instance:
-    """The instance that UTF-8 JSON bytes give; other bytes, or JSON nested too deep, are a ParseError."""
+    """The instance that UTF-8 JSON bytes give; other bytes, JSON nested too
+    deep, or an integer too long to read (see `_render`) are a ParseError."""
     try:
         obj = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ParseError(f"invalid UTF-8: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ParseError(f"invalid JSON: {exc}") from exc
     return parse_instance(obj)
 
@@ -145,12 +147,15 @@ def _answer(
     Any exception, rendering included, becomes an error object, so one bad
     instance (malformed input, bytes that are not UTF-8, an exhausted face
     cap, a result too long to print, even a RecursionError or MemoryError)
-    never costs the other lines of a batch their output.
+    never costs the other lines of a batch their output.  With `timings`,
+    the result's `timing_ms.compute` is the wall time of `compute_instance`.
     """
     try:
         instance = _parse_json_instance(data)
+        t0 = time.perf_counter()
         res = compute_instance(instance, method, face_cap)
-        return None, _render(result_json(instance, res, timings), output)
+        compute_ms = (time.perf_counter() - t0) * 1000.0 if timings else None
+        return None, _render(result_json(instance, res, compute_ms), output)
     except Exception as exc:  # noqa: BLE001 - one instance's fault is its error object
         error = _error_json(exc)
         if line is not None:

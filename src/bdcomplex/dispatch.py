@@ -3,7 +3,9 @@
 `parse_instance` turns one accepted JSON shape into an `Instance`, and
 `compute_instance` sends it down one route: the caterpillar closed form,
 the forest recursion, the recursion on the forest that `cycle_reduce` cuts
-a graph with cycles into, or the homology oracle.  `pool_map` cuts the work
+a graph with cycles into, or the homology oracle.  It returns what that
+route found and nothing more: no clock runs in it, and `cli` derives the
+rest of a result object from the sphere counts.  `pool_map` cuts the work
 of `batch` and of the sweeps in `harness` into tasks for a process pool.
 `cli` takes these names from here and imports `harness` only for `verify`,
 so `bdcomplex compute` and `bdcomplex batch` do not compile the sweeps at
@@ -13,9 +15,7 @@ start-up.
 from __future__ import annotations
 
 import os
-import time
 from collections import deque
-from functools import cached_property
 from itertools import islice
 from typing import NamedTuple, Optional, Sequence
 
@@ -39,11 +39,12 @@ METHODS = ("auto", "recursion", "closed-form", "homology")
 
 
 class Instance(Record):
-    """A parsed problem instance: its source form, a graph and its bounds.
+    """A parsed problem instance: its source form, and either a caterpillar
+    spec or the (graph, bounds) it was given.
 
-    A caterpillar shorthand holds only its spec until a route first reads
-    `graph` or `bounds`; only the homology oracle does.  A `Record`; its dict
-    source makes it unhashable, and the graph it builds is not pickled.
+    A caterpillar shorthand holds only its spec: `compute_instance` builds
+    its leaves only for the homology oracle.  A `Record`; its dict source
+    makes it unhashable.
     """
 
     _fields = ("source", "cat_spec", "given")
@@ -56,18 +57,6 @@ class Instance(Record):
         given: Optional[tuple[Graph, DegreeBounds]] = None,
     ):
         super().__init__(source, cat_spec, given)
-
-    @cached_property
-    def _graph_bounds(self) -> tuple[Graph, DegreeBounds]:
-        return self.given if self.given is not None else gen_caterpillar(self.cat_spec)
-
-    @property
-    def graph(self) -> Graph:
-        return self._graph_bounds[0]
-
-    @property
-    def bounds(self) -> DegreeBounds:
-        return self._graph_bounds[1]
 
 
 def _is_int(x) -> bool:
@@ -142,12 +131,17 @@ def instance_json(graph: Graph, bounds: Sequence[int]) -> dict:
 
 
 class ComputeResult(NamedTuple):
+    """What a route found: its tag, the wedge's sphere counts (None on
+    torsion), and the homology profile if the oracle ran."""
+
     method_used: str
     spheres: Optional[SphereCounts]
-    contractible: Optional[bool]
-    homology: Optional[HomologyProfile]
-    wedge_consistent: bool
-    timings_ms: dict[str, float]
+    homology: Optional[HomologyProfile] = None
+
+
+def _oracle(graph: Graph, bounds: DegreeBounds, face_cap: int) -> ComputeResult:
+    profile, _ = graph_homology(graph, bounds, face_cap)
+    return ComputeResult("homology", wedge_profile(profile), profile)
 
 
 def compute_instance(
@@ -161,47 +155,38 @@ def compute_instance(
     recursion on the forest that `cycle_reduce` cuts a graph with cycles
     into, and falls back to the homology oracle.  The recursion folds a
     caterpillar shorthand along its spine (`caterpillar_counts`), with no
-    leaf built.  Other forests go through `forest_counts`: a forest with an
-    edge whose ends have bounds at least their degrees is a cone, since that
-    edge joins every face, and answers {} with no plan and no fold.
+    leaf built; only `homology` builds a shorthand's graph.  Other forests
+    go through `forest_counts`: a forest with an edge whose ends have bounds
+    at least their degrees is a cone, since that edge joins every face, and
+    answers {} with no plan and no fold.
     """
     if method not in METHODS:
         raise MethodMismatchError(f"unknown method {method!r}")
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-
-    def done(tag: str, counts: Optional[SphereCounts], homology=None) -> ComputeResult:
-        timings["compute"] = (time.perf_counter() - t0) * 1000.0
-        if counts is None:
-            return ComputeResult(tag, None, None, homology, False, timings)
-        return ComputeResult(tag, counts, not counts, homology, True, timings)
-
     spec = instance.cat_spec
     if method in ("auto", "closed-form") and spec is not None and all(m >= 1 for m in spec.m):
-        return done("closed-form", caterpillar_closed_form(spec))
+        return ComputeResult("closed-form", caterpillar_closed_form(spec))
     if method == "closed-form":
         raise MethodMismatchError("closed-form needs a caterpillar shorthand with every m_i >= 1")
     if method == "homology":
-        profile, _ = graph_homology(instance.graph, instance.bounds, face_cap)
-        return done("homology", wedge_profile(profile), profile)
+        return _oracle(*(instance.given or gen_caterpillar(spec)), face_cap)
 
     # recursion, or auto: a caterpillar shorthand folds its spine and builds no
     # leaf; a cone answers {} with no plan, any other forest is folded
     if spec is not None:
-        return done("recursion", caterpillar_counts(spec))
-    counts = forest_counts(instance.graph, instance.bounds)
+        return ComputeResult("recursion", caterpillar_counts(spec))
+    graph, bounds = instance.given
+    counts = forest_counts(graph, bounds)
     if counts is not None:
-        return done("recursion", counts)
+        return ComputeResult("recursion", counts)
     if method == "recursion":
         raise MethodMismatchError("recursion applies to forests only")
-    reduced = cycle_reduce(instance.graph, instance.bounds)
+    reduced = cycle_reduce(graph, bounds)
     if reduced is not None:
         counts = forest_counts(reduced[0], reduced[1])
         if counts is not None:
-            return done("cycle-reduce", counts)
+            return ComputeResult("cycle-reduce", counts)
         # else the split kept a cycle: the oracle answers
-    profile, _ = graph_homology(instance.graph, instance.bounds, face_cap)
-    return done("homology", wedge_profile(profile), profile)
+    return _oracle(graph, bounds, face_cap)
 
 
 # tasks per worker that pool_map may read ahead of the results taken

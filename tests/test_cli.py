@@ -31,6 +31,11 @@ TWO_SPINE = {"caterpillar": {"m": [2, 1], "lambda": [2, 1]}}
 TOO_LONG_TO_PRINT = {"caterpillar": {"m": [20000], "lambda": [10000]}}
 # 2,000 bytes of JSON nested deeper than the decoder's recursion limit
 TOO_DEEP = "[" * 1000 + "]" * 1000
+# an integer of 5,000 digits, more than CPython's JSON decoder reads
+TOO_LONG_TO_READ = '{"n": 2, "edges": [[0, 1]], "lambda": [1, ' + "9" * 5000 + "]}"
+# its closed form has one sphere, of a dimension with 4,301 digits: too long to print
+_NINES = 10**4299 - 1
+DIMENSION_TOO_LONG_TO_PRINT = {"caterpillar": {"m": [_NINES + 1] * 11, "lambda": [_NINES] * 11}}
 
 
 def run_script(body: str, stdin: str = "", limit_mb: int = 256, timeout: float = 120):
@@ -426,6 +431,21 @@ class TestCompute:
         assert code == 1 and "Traceback" not in err
         assert json.loads(out)["error"]["type"] == "ParseError"
 
+    def test_an_integer_too_long_to_read_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(TOO_LONG_TO_READ)
+        code, out, err = run(capsys, ["compute", str(path)])
+        assert code == 1 and "Traceback" not in err
+        assert json.loads(out)["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize("output", ["json", "table"])
+    def test_a_dimension_too_long_to_print_is_an_error_object(self, capsys, tmp_path, output):
+        path = write_instance(tmp_path, DIMENSION_TOO_LONG_TO_PRINT)
+        code, out, err = run(capsys, ["compute", path, "--output", output])
+        assert code == 1 and "Traceback" not in err
+        obj = json.loads(out)
+        assert list(obj) == ["error"] and obj["error"]["type"] == "ResultTooLargeError"
+
     def test_undecodable_file_is_an_error_object(self, capsys, tmp_path):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"n": 1, "edges": [], "lambda": [1]}\xff')
@@ -580,6 +600,27 @@ class TestBatch:
         assert code == 1 and "Traceback" not in err
         objs = [json.loads(line) for line in out.splitlines()]
         assert objs[1]["error"]["type"] == "ParseError" and objs[1]["line"] == 2
+        assert objs[0]["method"] == "recursion" and objs[2]["method"] == "cycle-reduce"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (TOO_LONG_TO_READ, "ParseError"),
+            (json.dumps(DIMENSION_TOO_LONG_TO_PRINT), "ResultTooLargeError"),
+        ],
+        ids=["integer-too-long-to-read", "dimension-too-long-to-print"],
+    )
+    def test_a_number_too_long_is_an_error_object(self, capsys, tmp_path, monkeypatch, bad, error, jobs):
+        monkeypatch.setattr(dispatch, "usable_cpus", lambda: 2)  # a pool at jobs 2 on any host
+        lines = self.lines()
+        lines[1] = bad
+        path = tmp_path / "batch.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, ["batch", str(path), "--jobs", jobs])
+        assert code == 1 and "Traceback" not in err
+        objs = [json.loads(line) for line in out.splitlines()]
+        assert objs[1]["error"]["type"] == error and objs[1]["line"] == 2
         assert objs[0]["method"] == "recursion" and objs[2]["method"] == "cycle-reduce"
 
     def test_timings_flag(self, capsys, tmp_path):
@@ -783,6 +824,16 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, ["batch", str(data / "batch_seed1.jsonl"), "--jobs", jobs])
         assert code == 0
         assert out == (data / "batch_seed1_out.jsonl").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_batch_table_matches_golden_output(self, capsys, jobs):
+        """The same 344 lines as table rows.  Regenerate with
+        `bdcomplex batch tests/data/batch_seed1.jsonl --output table > tests/data/batch_seed1_table.txt`."""
+        data = Path(__file__).parent / "data"
+        argv = ["batch", str(data / "batch_seed1.jsonl"), "--output", "table", "--jobs", jobs]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out == (data / "batch_seed1_table.txt").read_text(encoding="utf-8")
 
 
 class TestOptionRanges:

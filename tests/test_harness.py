@@ -443,7 +443,7 @@ class TestComputeInstance:
         for method in ("auto", "recursion"):
             res = harness.compute_instance(forest, method)
             assert (res.method_used, res.spheres) == ("recursion", {0: 1})
-        assert plans == [forest.graph] * 2
+        assert plans == [forest.given[0]] * 2
 
     def test_a_cycle_is_not_a_forest(self, monkeypatch):
         plans = self._count_plans(monkeypatch)
@@ -454,8 +454,8 @@ class TestComputeInstance:
         assert res.method_used == "cycle-reduce"
         assert res.spheres == harness.compute_instance(cycle, "homology").spheres
         # the cycle is tried as a forest twice; the forest it splits into is planned once
-        split = harness.cycle_reduce(cycle.graph, cycle.bounds)[0]
-        assert plans == [cycle.graph] * 2 + [split]
+        split = harness.cycle_reduce(*cycle.given)[0]
+        assert plans == [cycle.given[0]] * 2 + [split]
 
     def test_a_cone_is_answered_with_no_plan(self, monkeypatch):
         plans = self._count_plans(monkeypatch)
@@ -463,7 +463,7 @@ class TestComputeInstance:
         forest = harness.parse_instance({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]], "lambda": [1, 2, 2, 0]})
         for method in ("auto", "recursion"):
             res = harness.compute_instance(forest, method)
-            assert (res.method_used, res.spheres, res.contractible) == ("recursion", {}, True)
+            assert (res.method_used, res.spheres) == ("recursion", {})
         # a cone with a cycle is still no forest; the split keeps the cone edge
         cycle = harness.parse_instance({"cycle": {"n": 4, "lambda": [2, 2, 1, 1]}})
         with pytest.raises(MethodMismatchError, match="recursion applies to forests only"):
@@ -471,6 +471,29 @@ class TestComputeInstance:
         res = harness.compute_instance(cycle)
         assert (res.method_used, res.spheres) == ("cycle-reduce", {})
         assert plans == []
+
+    @pytest.mark.parametrize("m", [(2, 1), (0, 3)], ids=["closed-form", "an-empty-leg"])
+    def test_a_shorthand_builds_its_leaves_for_the_oracle_only(self, monkeypatch, m):
+        real = dispatch.gen_caterpillar
+        calls = []
+
+        def counting(spec):
+            calls.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(dispatch, "gen_caterpillar", counting)
+        shorthand = harness.parse_instance({"caterpillar": {"m": list(m), "lambda": [2, 1]}})
+        for method in ("auto", "recursion", "closed-form"):
+            if method == "closed-form" and 0 in m:
+                with pytest.raises(MethodMismatchError, match="closed-form needs"):
+                    harness.compute_instance(shorthand, method)
+            else:
+                harness.compute_instance(shorthand, method)
+        assert calls == []
+        res = harness.compute_instance(shorthand, "homology")
+        assert calls == [shorthand.cat_spec]
+        graph = Instance({}, given=real(shorthand.cat_spec))
+        assert res == harness.compute_instance(graph, "homology")
 
     def test_small_forests_answer_as_their_fold(self):
         """Every forest of at most 5 edges and 3 trees, bounds 0..min(deg + 1, 3)."""
@@ -544,9 +567,8 @@ class TestRecords:
             " given=(Graph(num_vertices=3, edges=((0, 1), (1, 2), (0, 2))), (1, 1, 1)))",
         ),
         "result": (
-            lambda: ComputeResult("recursion", {0: 1}, False, None, True, {}),
-            "ComputeResult(method_used='recursion', spheres={0: 1}, contractible=False,"
-            " homology=None, wedge_consistent=True, timings_ms={})",
+            lambda: ComputeResult("recursion", {0: 1}, None),
+            "ComputeResult(method_used='recursion', spheres={0: 1}, homology=None)",
         ),
     }
     HASHABLE = {"graph", "caterpillar-spec", "forest-plan", "complex"}
@@ -608,10 +630,3 @@ class TestRecords:
         back = pickle.loads(pickle.dumps(plan))
         assert back == plan and back.graph == plan.graph and "trees" not in vars(back)
         assert pickle.dumps(plan) == fresh and back.trees == plan.trees
-
-        instance = harness.parse_instance({"caterpillar": {"m": [2, 1], "lambda": [2, 1]}})
-        fresh = pickle.dumps(instance)
-        graph = instance.graph
-        back = pickle.loads(pickle.dumps(instance))
-        assert "_graph_bounds" not in vars(back)  # before reading it builds the graph again
-        assert back == instance and back.graph == graph and pickle.dumps(instance) == fresh
